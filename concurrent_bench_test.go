@@ -34,7 +34,13 @@ type rtEnv struct {
 // posting list, so the Bloom pre-join has something to prune.
 func newRTEnv(tb testing.TB, workers int, oneWay time.Duration) *rtEnv {
 	tb.Helper()
-	rt, nodes, err := simnet.NewRealTimeCluster(16, 11, dht.Config{K: 8}, simnet.Constant(0))
+	return newRTEnvWith(tb, workers, oneWay, dht.Config{K: 8})
+}
+
+// newRTEnvWith is newRTEnv over an explicit DHT configuration.
+func newRTEnvWith(tb testing.TB, workers int, oneWay time.Duration, cfg dht.Config) *rtEnv {
+	tb.Helper()
+	rt, nodes, err := simnet.NewRealTimeCluster(16, 11, cfg, simnet.Constant(0))
 	if err != nil {
 		tb.Fatal(err)
 	}

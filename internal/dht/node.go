@@ -546,15 +546,18 @@ func (n *Node) Lookup(target ID) ([]NodeInfo, LookupStats, error) {
 // the iterative lookup between RPCs (and mid-RPC on context-aware
 // transports), returning the context's error.
 func (n *Node) LookupContext(ctx context.Context, target ID) ([]NodeInfo, LookupStats, error) {
-	infos, _, stats, err := n.iterate(ctx, target, false)
+	infos, _, stats, err := n.iterate(ctx, target, false, n.info.K)
 	return infos, stats, err
 }
 
 // iterate is the shared iterative-lookup core: it binds the transport-free
 // α-parallel engine in package routing to this node's RPCs. With findValue
 // set it issues FindValue RPCs and stops early once Replicate holders have
-// answered, merging their value sets.
-func (n *Node) iterate(ctx context.Context, target ID, findValue bool) ([]NodeInfo, []StoredValue, LookupStats, error) {
+// answered, merging their value sets. need is the convergence width
+// (routing.LookupConfig.Need): the lookup ends once the need closest
+// contacts have answered; the returned slice still holds up to K, the
+// tail beyond need being unprobed fallbacks.
+func (n *Node) iterate(ctx context.Context, target ID, findValue bool, need int) ([]NodeInfo, []StoredValue, LookupStats, error) {
 	var stats LookupStats
 
 	seed := n.table.Closest(target, n.info.K)
@@ -621,6 +624,7 @@ func (n *Node) iterate(ctx context.Context, target ID, findValue bool) ([]NodeIn
 		Target: target,
 		Self:   n.self.ID,
 		K:      n.info.K,
+		Need:   need,
 		Alpha:  n.info.Alpha,
 		Seed:   seed,
 		Probe:  probe,
@@ -653,8 +657,14 @@ func (n *Node) PutID(key ID, data []byte) (LookupStats, error) {
 
 // PutIDContext is PutID under a context: the lookup and the per-replica
 // store RPCs are abandoned once ctx is done.
+//
+// The lookup converges on the Replicate closest contacts, not all K: a put
+// stores on no more than that, so probing the other K-Replicate only to
+// rank them is traffic with no reader. The result still lists up to K
+// candidates nearest-first; the ones past the verified head are the
+// fallbacks the STORE loop walks when a chosen replica fails.
 func (n *Node) PutIDContext(ctx context.Context, key ID, data []byte) (LookupStats, error) {
-	closest, stats, err := n.LookupContext(ctx, key)
+	closest, _, stats, err := n.iterate(ctx, key, false, n.info.Replicate)
 	if err != nil {
 		return stats, err
 	}
@@ -734,7 +744,7 @@ func (n *Node) GetIDContext(ctx context.Context, key ID) ([]StoredValue, LookupS
 	// Check the local store first: we may be a replica holder.
 	local := n.store.Get(key, n.info.Clock())
 
-	_, values, stats, err := n.iterate(ctx, key, true)
+	_, values, stats, err := n.iterate(ctx, key, true, n.info.K)
 	if err != nil && (len(local) == 0 || ctx.Err() != nil) {
 		return nil, stats, err
 	}

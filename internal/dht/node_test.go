@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -316,26 +317,191 @@ func TestNewClusterRejectsNonPositive(t *testing.T) {
 	}
 }
 
+// holders returns the addresses of the cluster nodes, other than skip,
+// whose own store holds a value under key.
+func holders(c *Cluster, key ID, skip *Node) map[string]bool {
+	out := map[string]bool{}
+	for _, n := range c.Nodes {
+		if n != skip && len(n.LocalGet(key)) > 0 {
+			out[n.Info().Addr] = true
+		}
+	}
+	return out
+}
+
+// remoteClosest ranks every cluster node but skip by distance to key: the
+// ground truth a put's placement is judged against.
+func remoteClosest(c *Cluster, key ID, skip *Node) []NodeInfo {
+	var infos []NodeInfo
+	for _, n := range c.Nodes {
+		if n != skip {
+			infos = append(infos, n.Info())
+		}
+	}
+	return sortByDistance(infos, key)
+}
+
+// TestPutRoutesAroundDeadNearestContact: a put's lookup converges on the
+// Replicate closest only, so the contact it would have picked first dying
+// must slide that window, not cost a replica.
+func TestPutRoutesAroundDeadNearestContact(t *testing.T) {
+	c := testCluster(t, 48)
+	pub := c.Nodes[3]
+	replicate := pub.Config().Replicate
+	for trial := 0; trial < 20; trial++ {
+		key := StringID(fmt.Sprintf("dead-nearest-%d", trial))
+		truth := remoteClosest(c, key, pub)
+		// Crash the nearest node without telling anyone: it is still in
+		// every routing table, the put's first probe to it fails.
+		dead := truth[0]
+		deadNode, _ := c.Net.Lookup(dead.Addr)
+		c.Net.Remove(dead.Addr)
+
+		stats, err := pub.PutID(key, []byte("v"))
+		if err != nil {
+			t.Fatalf("trial %d: put: %v", trial, err)
+		}
+		got := holders(c, key, pub)
+		delete(got, dead.Addr) // unreachable: whatever it holds is not a replica
+		if len(got) != replicate {
+			t.Fatalf("trial %d: %d replicas stored, want %d", trial, len(got), replicate)
+		}
+		for _, want := range truth[1 : 1+replicate] {
+			if !got[want.Addr] {
+				t.Errorf("trial %d: replica set %v misses %s, one of the %d closest live nodes",
+					trial, got, want.Addr, replicate)
+			}
+		}
+		if stats.Messages >= 2*pub.Config().K {
+			t.Errorf("trial %d: put cost %d messages, a K-wide lookup's worth", trial, stats.Messages)
+		}
+		reader := c.Nodes[(trial+7)%len(c.Nodes)]
+		if reader == pub || reader == deadNode {
+			reader = c.Nodes[0]
+		}
+		values, _, err := reader.GetID(key)
+		if err != nil || len(values) != 1 || string(values[0].Data) != "v" {
+			t.Fatalf("trial %d: GetID from %s = %v, %v", trial, reader.Info().Addr, values, err)
+		}
+		c.Net.Join(deadNode)
+	}
+}
+
+// storeRefuser fails every STORE addressed to one node and passes all
+// other traffic through: the node answers the lookup's probes, then turns
+// out unable to take the value.
+type storeRefuser struct {
+	*LocalNetwork
+	refuse string
+}
+
+func (r storeRefuser) CallContext(ctx context.Context, to NodeInfo, req *Request) (*Response, error) {
+	if req.Kind == RPCStore && to.Addr == r.refuse {
+		return nil, fmt.Errorf("store refused by %s", to.Addr)
+	}
+	return r.LocalNetwork.CallContext(ctx, to, req)
+}
+
+// TestPutFallsBackToUnprobedTail: when a verified replica fails at STORE
+// time the put walks on into the part of the lookup result that was never
+// probed, and still ends with Replicate copies.
+func TestPutFallsBackToUnprobedTail(t *testing.T) {
+	c := testCluster(t, 48)
+	key := StringID("refused-store")
+	truth := remoteClosest(c, key, nil)
+	info := NodeInfo{ID: SeededID(c.rng), Addr: "publisher"}
+	pub := NewNode(info, storeRefuser{c.Net, truth[1].Addr}, Config{})
+	c.Net.Join(pub)
+	if err := pub.Bootstrap(c.Nodes[0].Info()); err != nil {
+		t.Fatal(err)
+	}
+	replicate := pub.Config().Replicate
+
+	stats, err := pub.PutID(key, []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Failed != 1 {
+		t.Fatalf("put recorded %d failed RPCs, want the one refused STORE", stats.Failed)
+	}
+	got := holders(c, key, nil)
+	want := []NodeInfo{truth[0], truth[2], truth[3]}
+	if len(got) != replicate {
+		t.Fatalf("%d replicas stored, want %d", len(got), replicate)
+	}
+	for _, w := range want {
+		if !got[w.Addr] {
+			t.Errorf("replica set %v misses %s", got, w.Addr)
+		}
+	}
+	values, _, err := c.Nodes[20].GetID(key)
+	if err != nil || len(values) != 1 {
+		t.Fatalf("GetID = %v, %v", values, err)
+	}
+}
+
+// reportMsgs publishes the mean message count per iteration, so the
+// traffic cost of an operation reads off `go test -bench` next to ns/op.
+func reportMsgs(b *testing.B, msgs int) {
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+}
+
 func BenchmarkLookup(b *testing.B) {
 	c, err := NewCluster(128, 1, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	msgs := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Nodes[i%len(c.Nodes)].Lookup(StringID(fmt.Sprintf("key-%d", i)))
+		_, stats, err := c.Nodes[i%len(c.Nodes)].Lookup(StringID(fmt.Sprintf("key-%d", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += stats.Messages
 	}
+	reportMsgs(b, msgs)
 }
 
-func BenchmarkPutGet(b *testing.B) {
+func BenchmarkPut(b *testing.B) {
 	c, err := NewCluster(64, 1, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	msgs := 0
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key := fmt.Sprintf("key-%d", i)
-		c.Nodes[i%len(c.Nodes)].Put("bench", key, []byte("value"))
-		c.Nodes[(i+13)%len(c.Nodes)].Get("bench", key)
+		stats, err := c.Nodes[i%len(c.Nodes)].Put("bench", fmt.Sprintf("key-%d", i), []byte("value"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs += stats.Messages
 	}
+	reportMsgs(b, msgs)
+}
+
+func BenchmarkGet(b *testing.B) {
+	c, err := NewCluster(64, 1, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const keys = 256
+	for i := 0; i < keys; i++ {
+		if _, err := c.Nodes[i%len(c.Nodes)].Put("bench", fmt.Sprintf("key-%d", i), []byte("value")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	msgs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		values, stats, err := c.Nodes[(i+13)%len(c.Nodes)].Get("bench", fmt.Sprintf("key-%d", i%keys))
+		if err != nil || len(values) != 1 {
+			b.Fatalf("get: %d values, err %v", len(values), err)
+		}
+		msgs += stats.Messages
+	}
+	reportMsgs(b, msgs)
 }

@@ -1,8 +1,9 @@
 // Package routing is the Kademlia routing core of the DHT: 160-bit
 // identifiers under the XOR metric, k-bucket routing tables with
 // per-bucket LRU order, replacement caches and staleness tracking, and
-// the α-parallel iterative lookup engine that converges on the k closest
-// nodes to a target in O(log n) hops.
+// the α-parallel iterative lookup engine that converges on the closest
+// nodes to a target in O(log n) hops — all k of them, or only as many as
+// the caller will use (LookupConfig.Need).
 //
 // The package is deliberately transport- and storage-free: it never
 // issues an RPC itself. Probing a contact is abstracted behind a

@@ -31,8 +31,14 @@ type LookupConfig struct {
 	Target ID
 	// Self is excluded from the candidate set: a node never probes itself.
 	Self ID
-	// K is how many closest contacts the lookup converges on (default 20).
+	// K is how many closest non-failed contacts the result holds (default 20).
 	K int
+	// Need is the convergence width: the lookup ends once the Need closest
+	// non-failed candidates have all answered. 0 (or anything above K) means
+	// K, the classic Kademlia rule; a caller that will use only the nearest
+	// few — a put storing on Replicate nodes — passes that count and saves
+	// the probes to the rest.
+	Need int
 	// Alpha is the number of concurrent probe workers (default 3).
 	Alpha int
 	// Seed are the starting candidates, normally Table.Closest(Target, K).
@@ -51,6 +57,9 @@ type LookupConfig struct {
 // LookupResult is the outcome of one iterative lookup.
 type LookupResult struct {
 	// Closest holds up to K non-failed contacts, nearest to target first.
+	// When the lookup converged, the first Need of them answered a probe;
+	// the rest are candidates that were heard of but not necessarily
+	// probed — fallbacks for a caller whose first choices fail later.
 	Closest []NodeInfo
 	// Hops is the maximum depth of any successful probe: 1 if only seeds
 	// answered, d if a contact discovered d-1 merges deep answered.
@@ -93,16 +102,21 @@ type lookupState struct {
 
 // Run executes one α-parallel iterative lookup and blocks until every
 // worker has finished. Workers repeatedly probe the nearest unqueried
-// candidate among the K closest non-failed contacts seen so far, merging
-// each answer's Closer set; the lookup converges when that frontier is
-// exhausted with no probe in flight. A starved worker waits rather than
-// exits — an in-flight probe may still uncover closer candidates.
+// candidate among the Need (default K) closest non-failed contacts seen so
+// far, merging each answer's Closer set; the lookup converges when that
+// frontier is exhausted with no probe in flight — every one of the Need
+// closest has answered and none of them knew anyone closer. A starved
+// worker waits rather than exits — an in-flight probe may still uncover
+// closer candidates.
 func Run(ctx context.Context, cfg LookupConfig) LookupResult {
 	if cfg.Probe == nil {
 		panic("routing: LookupConfig.Probe is required")
 	}
 	if cfg.K <= 0 {
 		cfg.K = 20
+	}
+	if cfg.Need <= 0 || cfg.Need > cfg.K {
+		cfg.Need = cfg.K
 	}
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 3
@@ -219,10 +233,10 @@ func (s *lookupState) worker(ctx context.Context) {
 	}
 }
 
-// nextLocked picks the nearest unqueried candidate among the K closest
+// nextLocked picks the nearest unqueried candidate among the Need closest
 // non-failed contacts. Candidates beyond that window are not probed: if
-// the lookup converges they were never among the k closest, and if closer
-// contacts fail the window slides to include them.
+// the lookup converges they were never among the Need closest, and if
+// closer contacts fail the window slides to include them.
 func (s *lookupState) nextLocked() *candidate {
 	seen := 0
 	for _, c := range s.all {
@@ -230,7 +244,7 @@ func (s *lookupState) nextLocked() *candidate {
 			continue
 		}
 		seen++
-		if seen > s.cfg.K {
+		if seen > s.cfg.Need {
 			return nil
 		}
 		if c.state == stateNew {

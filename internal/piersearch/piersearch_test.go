@@ -17,9 +17,24 @@ type env struct {
 
 func newEnv(t testing.TB, n int) *env {
 	t.Helper()
+	return newEnvWith(t, n, dht.Config{})
+}
+
+// newSequentialEnv is newEnv with one lookup probe in flight at a time
+// (Alpha 1), for tests that compare byte counts. A FindValue lookup ends
+// once Replicate holders have answered, but every probe already in flight
+// at that moment still completes and ships the key's whole value set; with
+// the default α = 3 how many of those there are depends on goroutine
+// timing, and a fetch's bytes vary by up to 2× run to run.
+func newSequentialEnv(t testing.TB, n int) *env {
+	t.Helper()
+	return newEnvWith(t, n, dht.Config{Alpha: 1})
+}
+
+func newEnvWith(t testing.TB, n int, cfg dht.Config) *env {
+	t.Helper()
 	// PIERSEARCH_STORE=disk runs the suite over the log-structured disk
 	// engine, one store directory per node.
-	cfg := dht.Config{}
 	if os.Getenv("PIERSEARCH_STORE") == "disk" {
 		cfg.NewStorage = store.DiskFactory(t.TempDir(), store.Options{})
 	}
@@ -269,7 +284,7 @@ func TestPublishAllAccumulates(t *testing.T) {
 func TestCacheQueryCheaperForMultiKeyword(t *testing.T) {
 	// §7: with InvertedCache the query goes to one node (~850 B); the
 	// distributed join ships posting lists (~20 KB). Verify the ordering.
-	e := newEnv(t, 32)
+	e := newSequentialEnv(t, 32)
 	for i := 0; i < 40; i++ {
 		f := File{Name: fmt.Sprintf("britney spears hit%02d.mp3", i), Size: 1000, Host: fmt.Sprintf("10.2.0.%d", i), Port: 6346}
 		if _, err := e.publisher(i % len(e.engines)).PublishFile(f); err != nil {

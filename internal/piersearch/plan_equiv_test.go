@@ -122,7 +122,13 @@ func TestPlanMatchesLegacyOnTraceQueries(t *testing.T) {
 		DistinctFiles: 150, TargetCopies: 260, Hosts: 80,
 		Vocabulary: 60, Queries: 20, Seed: 9,
 	})
-	e := newEnv(t, 24)
+	// Sequential probes: with α = 3 the plan and legacy paths return the
+	// same fileIDs but their Item fetches' bytes depend on how many
+	// FindValue probes were in flight when the stop rule fired (see
+	// newSequentialEnv), and a varying set of pairs — mostly
+	// inverted-cache, which fetches the most Items — missed the 5% bound
+	// on every run from PR 8 on.
+	e := newSequentialEnv(t, 24)
 	for rank, f := range tr.Files {
 		file := File{
 			Name: f.Name, Size: int64(1_000_000 + rank),

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
 )
@@ -96,9 +97,13 @@ func BenchmarkPlanVsLegacy(b *testing.B) {
 }
 
 // TestPlanVsLegacyEquivalence pins the benchmark's claim as an acceptance
-// test: same results, bytes within 5%.
+// test: same results, bytes within 5%. Lookups probe one contact at a time
+// (Alpha 1): a FindValue lookup stops once Replicate holders have answered,
+// but each probe in flight at that moment still ships the key's value set,
+// so with α = 3 an Item fetch's bytes depend on goroutine timing and this
+// comparison failed about two runs in five.
 func TestPlanVsLegacyEquivalence(t *testing.T) {
-	env := newRTEnv(t, 8, 0)
+	env := newRTEnvWith(t, 8, 0, dht.Config{K: 8, Alpha: 1})
 	keywords := []string{"alpha", "beta", "gamma"}
 	// Warm routing tables, then measure.
 	legacyJoinQuery(t, env.engines[3], keywords)
