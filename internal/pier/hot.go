@@ -8,7 +8,7 @@ package pier
 // Cache key prefixes (values are immutable once cached):
 //
 //	p|<id>          owner-side posting scan      []Tuple
-//	f|<id>          requester-side fetch         []Tuple
+//	f|<table>|<key> requester-side fetch         []Tuple  (key = Value.Key(): no hash to probe)
 //	c|<id>          posting-list count probe     int
 //	b|<geo>|<id>    bloom count+filter probe     bloomReply
 //	j|<sig>         chain-join result            []Value
@@ -162,7 +162,12 @@ func holdersFor(self dht.NodeInfo, closest []dht.NodeInfo, key dht.ID, replicas 
 	if len(out) > replicas {
 		out = out[:replicas]
 	}
-	return out
+	// The caller caches the result for the route's lifetime: hand it an
+	// exact-size copy, so an entry pins the holders it is charged for and
+	// not the K+1 slots the merge was sized for.
+	exact := make([]dht.NodeInfo, len(out))
+	copy(exact, out)
+	return exact
 }
 
 // countCached is the count probe behind CountContext and the
@@ -212,31 +217,55 @@ func (e *Engine) countCached(ctx context.Context, table string, key Value) (int,
 	return v.(int), stats, nil
 }
 
+// fetchKey is the requester-side cache key of a fetch: the relation and the
+// key's own bytes, so a probe costs no hash. The SHA-1 DHT id is computed
+// only on a miss, where it routes the lookup and tags the entry for
+// invalidation-on-publish.
+func fetchKey(table string, key Value) string { return "f|" + table + "|" + key.Key() }
+
+// fetchProbe answers a fetch from the tier (nil: none installed) on the
+// caller's goroutine, if the tier holds it.
+func fetchProbe(t *hotcache.Tier, table string, key Value) ([]Tuple, bool) {
+	if t == nil {
+		return nil, false
+	}
+	v, ok := t.Data.Get(fetchKey(table, key))
+	if !ok {
+		return nil, false
+	}
+	return v.([]Tuple), true
+}
+
 // FetchCachedContext is FetchContext through the tier: repeated fetches
 // of one (table, key) are served from the requester-side cache,
 // concurrent identical fetches collapse into one DHT lookup.
 func (e *Engine) FetchCachedContext(ctx context.Context, table string, key Value) ([]Tuple, OpStats, error) {
-	var stats OpStats
 	t := e.hot.Load()
+	if tuples, ok := fetchProbe(t, table, key); ok {
+		return tuples, OpStats{CacheHits: 1}, nil
+	}
+	return e.fetchMiss(ctx, t, table, key)
+}
+
+// fetchMiss resolves a fetch the tier (nil: none installed) did not hold:
+// one DHT lookup shared by every concurrent fetch of the same key, its
+// result cached under the key's DHT id as the invalidation tag.
+func (e *Engine) fetchMiss(ctx context.Context, t *hotcache.Tier, table string, key Value) ([]Tuple, OpStats, error) {
+	var stats OpStats
 	if t == nil {
 		tuples, ls, err := e.FetchContext(ctx, table, key)
 		stats.addLookup(ls)
 		return tuples, stats, err
 	}
-	id := keyID(table, key)
-	tag := string(id[:])
-	ck := "f|" + tag
-	if v, ok := t.Data.Get(ck); ok {
-		stats.CacheHits++
-		return v.([]Tuple), stats, nil
-	}
+	ck := fetchKey(table, key)
 	v, shared, err := t.Flights.Do(ctx, ck, func() (any, error) {
 		tuples, ls, err := e.FetchContext(ctx, table, key)
 		stats.addLookup(ls)
 		if err != nil {
 			return nil, err
 		}
-		t.Data.Put(ck, tuples, tuplesSize(tuples), tag)
+		id := keyID(table, key)
+		t.Data.Put(ck, tuples, tuplesSize(tuples), string(id[:]))
 		return tuples, nil
 	})
 	if shared {
@@ -246,6 +275,56 @@ func (e *Engine) FetchCachedContext(ctx context.Context, table string, key Value
 		return nil, stats, err
 	}
 	return v.([]Tuple), stats, nil
+}
+
+// FetchCachedBatchContext resolves keys[i] to fetched[i], in input order.
+// Every key the tier already holds is answered on the caller's goroutine;
+// only the misses go to the bounded pool (workers <= 0 means the engine
+// default), each exactly as FetchCachedContext would resolve it. A batch
+// of cached keys therefore starts no goroutine and sends no message.
+//
+// The fetch phase it serves is best-effort: a key whose lookup fails
+// yields no tuples and the batch goes on; callers that must tell a
+// canceled batch from an empty one check ctx. The returned stats sum the
+// per-key costs; MaxInFlight is the pool's high-water mark (the inline
+// probe counts as one operation in flight).
+func (e *Engine) FetchCachedBatchContext(ctx context.Context, table string, keys []Value, workers int) ([][]Tuple, OpStats) {
+	var stats OpStats
+	fetched := make([][]Tuple, len(keys))
+	t := e.hot.Load()
+	var misses []int
+	for i, key := range keys {
+		if tuples, ok := fetchProbe(t, table, key); ok {
+			fetched[i] = tuples
+			stats.CacheHits++
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	if len(misses) < len(keys) {
+		stats.MaxInFlight = 1
+	}
+	if len(misses) == 0 {
+		return fetched, stats
+	}
+	if workers <= 0 {
+		workers = e.cfg.Workers
+	}
+	// Writes are per-index; the pool's WaitGroup orders them before the
+	// merge below.
+	costs := make([]OpStats, len(misses))
+	var g gauge
+	forEachCtx(ctx, len(misses), workers, &g, func(j int) {
+		i := misses[j]
+		fetched[i], costs[j], _ = e.fetchMiss(ctx, t, table, keys[i]) //nolint:errcheck // best-effort, see the doc comment
+	})
+	for _, c := range costs {
+		stats.Add(c)
+	}
+	if g.high() > stats.MaxInFlight {
+		stats.MaxInFlight = g.high()
+	}
+	return fetched, stats
 }
 
 // bloomProbe is the count+filter probe behind ChainJoinConcurrent's

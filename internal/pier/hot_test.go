@@ -195,3 +195,91 @@ func TestHotTierFanoutReadsStayCorrect(t *testing.T) {
 		t.Error("hot key never fanned out to a non-primary replica")
 	}
 }
+
+// TestFetchCachePurgedOnPublish: the requester-side fetch entry is keyed by
+// relation and key bytes, not by the DHT id, but is still tagged with the
+// id — so a publish to an Item key purges it on both invalidation paths:
+// the publisher's own put ack, and the store observer at a replica the
+// STORE lands on.
+func TestFetchCachePurgedOnPublish(t *testing.T) {
+	env := newTestEnv(t, 24, Config{})
+	tiers := installTiers(env, hotcache.Options{})
+	env.publishFile(t, 0, "gamma tape")
+	key := Bytes([]byte("gamma tape"))
+	item := func(host string) Tuple {
+		return Tuple{key, String("gamma tape"), Int(1), String(host), Int(6346)}
+	}
+	ctx := context.Background()
+	fetch := func(e *Engine, want int) OpStats {
+		t.Helper()
+		tuples, st, err := e.FetchCachedContext(ctx, "Item", key)
+		if err != nil || len(tuples) != want {
+			t.Fatalf("fetch = %d tuples, %v; want %d", len(tuples), err, want)
+		}
+		return st
+	}
+
+	// Local-put path.
+	ri := nonHolderIndex(t, env, "Item", key)
+	req := env.engines[ri]
+	fetch(req, 1)
+	if st := fetch(req, 1); st.CacheHits != 1 || st.Messages != 0 {
+		t.Fatalf("second fetch: %d hits, %d messages; want a pure cache hit", st.CacheHits, st.Messages)
+	}
+	if _, ok := tiers[ri].Data.Get(fetchKey("Item", key)); !ok {
+		t.Fatal("fetch entry is not under the relation+key form")
+	}
+	if _, err := req.Publish("Item", item("10.0.0.2")); err != nil {
+		t.Fatal(err)
+	}
+	if st := fetch(req, 2); st.CacheHits != 0 {
+		t.Fatal("publisher served its own stale fetch after the put acked")
+	}
+
+	// Store-observer path: a replica that cached the fetch sees another
+	// node's publish arrive as a STORE.
+	id := keyID("Item", key)
+	replica := -1
+	for i, e := range env.engines {
+		if i != ri && len(e.node.LocalGet(id)) > 0 {
+			replica = i
+			break
+		}
+	}
+	if replica < 0 {
+		t.Fatal("no replica holds the key")
+	}
+	rep := env.engines[replica]
+	fetch(rep, 2)
+	if st := fetch(rep, 2); st.CacheHits != 1 {
+		t.Fatal("replica did not cache the fetch")
+	}
+	if _, err := env.engines[(replica+1)%len(env.engines)].Publish("Item", item("10.0.0.3")); err != nil {
+		t.Fatal(err)
+	}
+	if st := fetch(rep, 3); st.CacheHits != 0 {
+		t.Fatal("replica served a stale fetch after the STORE landed (observer purge missed)")
+	}
+}
+
+// TestCachedRouteIsExactSize: the holder list is cached for the route's
+// lifetime and charged by its length, so it must not drag the K+1-slot
+// array the merge was built in along with it.
+func TestCachedRouteIsExactSize(t *testing.T) {
+	env := newTestEnv(t, 24, Config{})
+	self := env.engines[0].node.Info()
+	key := keyID("Inverted", String("delta"))
+	closest, _, err := env.engines[0].node.LookupContext(context.Background(), key)
+	if err != nil || len(closest) < 4 {
+		t.Fatalf("lookup = %d contacts, %v", len(closest), err)
+	}
+	for _, replicas := range []int{1, 3, len(closest) + 5} {
+		h := holdersFor(self, closest, key, replicas)
+		if want := min(replicas, len(closest)+1); len(h) > want || len(h) == 0 {
+			t.Errorf("replicas %d: %d holders", replicas, len(h))
+		}
+		if cap(h) != len(h) {
+			t.Errorf("replicas %d: %d holders pin a %d-slot array", replicas, len(h), cap(h))
+		}
+	}
+}

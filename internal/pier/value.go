@@ -156,9 +156,22 @@ func (t Tuple) Encode(dst []byte) []byte {
 	return dst
 }
 
-// EncodedSize returns the wire size of the tuple without encoding it.
+// EncodedSize returns the wire size of the tuple without encoding it:
+// len(t.Encode(nil)), by arithmetic over the layout above.
 func (t Tuple) EncodedSize() int {
-	return len(t.Encode(make([]byte, 0, 64)))
+	n := codec.UvarintLen(uint64(len(t)))
+	for _, v := range t {
+		n++ // kind byte
+		switch v.K {
+		case KindString:
+			n += codec.UvarintLen(uint64(len(v.S))) + len(v.S)
+		case KindInt:
+			n += codec.UvarintLen(uint64(v.I<<1) ^ uint64(v.I>>63)) // zigzag, as AppendVarint
+		case KindBytes:
+			n += codec.UvarintLen(uint64(len(v.B))) + len(v.B)
+		}
+	}
+	return n
 }
 
 // DecodeTuple parses one tuple from buf, returning the tuple and the number

@@ -1,6 +1,8 @@
 package pier
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,11 +85,36 @@ func TestTupleEncodeDecodeRoundTrip(t *testing.T) {
 func TestTupleEncodeDecodeProperty(t *testing.T) {
 	prop := func(s string, i int64, b []byte) bool {
 		orig := Tuple{String(s), Int(i), Bytes(b)}
-		got, _, err := DecodeTuple(orig.Encode(nil))
-		return err == nil && got.Equal(orig)
+		buf := orig.Encode(nil)
+		got, _, err := DecodeTuple(buf)
+		return err == nil && got.Equal(orig) && orig.EncodedSize() == len(buf)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodedSizeIsArithmetic: EncodedSize is computed, not encoded — it
+// agrees with Encode at every varint length boundary and allocates nothing
+// (tuplesSize calls it per tuple on every cache Put).
+func TestEncodedSizeIsArithmetic(t *testing.T) {
+	long := strings.Repeat("x", 1<<14)
+	cases := []Tuple{
+		nil,
+		{},
+		{Int(0), Int(-1), Int(63), Int(64), Int(-64), Int(-65), Int(math.MaxInt64), Int(math.MinInt64)},
+		{String(""), String(long[:127]), String(long[:128]), String(long)},
+		{Bytes(nil), Bytes([]byte(long[:127])), Bytes([]byte(long[:128]))},
+		{{K: Kind(9), S: "ignored"}}, // an unknown kind encodes as its kind byte alone
+	}
+	for i, c := range cases {
+		if got, want := c.EncodedSize(), len(c.Encode(nil)); got != want {
+			t.Errorf("case %d: EncodedSize = %d, len(Encode) = %d", i, got, want)
+		}
+	}
+	wide := cases[3]
+	if n := testing.AllocsPerRun(100, func() { _ = wide.EncodedSize() }); n != 0 {
+		t.Errorf("EncodedSize allocates %v times per call, want 0", n)
 	}
 }
 

@@ -86,8 +86,10 @@ func (f File) ID() FileID {
 func (id FileID) String() string { return fmt.Sprintf("%x", id[:]) }
 
 // ItemTuple builds the Item tuple for f.
-func (f File) ItemTuple() pier.Tuple {
-	id := f.ID()
+func (f File) ItemTuple() pier.Tuple { return itemTuple(f.ID(), f) }
+
+// itemTuple lays f out as an Item tuple under id.
+func itemTuple(id FileID, f File) pier.Tuple {
 	return pier.Tuple{
 		pier.Bytes(id[:]),
 		pier.String(f.Name),

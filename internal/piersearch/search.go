@@ -36,6 +36,12 @@ type Result struct {
 	FileID FileID
 }
 
+// ItemTuple rebuilds the Item tuple the result was read from, under the
+// FileID it carries: no hash is computed. For an honestly published Item
+// (stored ID = hash of its fields) this is File.ItemTuple(); for one
+// stored under another ID it is the tuple as stored.
+func (r Result) ItemTuple() pier.Tuple { return itemTuple(r.FileID, r.File) }
+
 // SearchStats reports the cost of answering one query.
 type SearchStats struct {
 	Strategy       Strategy

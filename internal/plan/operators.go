@@ -212,9 +212,10 @@ func (o *DHTFetch) Next() (pier.Tuple, error) {
 }
 
 // fillBatch pulls up to one batch of keys from the input and resolves
-// them in parallel. A missing value (e.g. its holder churned out) drops
-// that key's tuples; lookup errors other than cancellation are likewise
-// absorbed, matching the best-effort fetch phase of the legacy paths.
+// them: cached keys inline, the rest in parallel. A missing value (e.g.
+// its holder churned out) drops that key's tuples; lookup errors other
+// than cancellation are likewise absorbed, matching the best-effort fetch
+// phase of the legacy paths.
 func (o *DHTFetch) fillBatch() error {
 	workers := o.Workers
 	if workers <= 0 {
@@ -238,26 +239,11 @@ func (o *DHTFetch) fillBatch() error {
 	if len(keys) == 0 {
 		return nil
 	}
-	fetched := make([][]pier.Tuple, len(keys))
-	lookups := make([]pier.OpStats, len(keys))
-	inFlight := pier.ForEachCtx(o.ctx, len(keys), workers, func(i int) {
-		// Writes are per-index; the pool's WaitGroup orders them before
-		// the merge below. Fetch errors other than cancellation drop the
-		// key's tuples, matching the best-effort legacy fetch phase. The
-		// cached variant serves hot keys from the tier and coalesces
-		// identical concurrent fetches; without a tier it is FetchContext.
-		tuples, st, _ := o.Engine.FetchCachedContext(o.ctx, o.Table, keys[i])
-		fetched[i] = tuples
-		lookups[i] = st
-	})
-	var stats OpStats
-	for _, st := range lookups {
-		stats.addEngineOp(st)
-	}
-	if inFlight > stats.MaxInFlight {
-		stats.MaxInFlight = inFlight
-	}
-	o.stats.Add(stats) // batch stats carry no Tuples; Next counts emissions
+	// The engine answers every key the tier holds on this goroutine and
+	// sends only the misses to its pool, where identical concurrent
+	// fetches share one lookup. Without a tier every key is a miss.
+	fetched, cost := o.Engine.FetchCachedBatchContext(o.ctx, o.Table, keys, workers)
+	o.stats.addEngineOp(cost) // carries no Tuples; Next counts emissions
 	if err := o.ctx.Err(); err != nil {
 		return ctxWrap(o.ctx, err)
 	}

@@ -13,6 +13,10 @@
 // stream with credit-based flow control (the daemon can have at most
 // window-many unconsumed batches in flight, so a slow reader
 // backpressures the executor instead of ballooning the daemon's heap).
+// A Send queues its frame; the session's flusher writes what has
+// accumulated, so the messages of one answer — a handful of batches, Done,
+// the close and reset releasing the stream — share a socket write or two
+// (see wire/mux.go for what Send returning nil and Close guarantee).
 //
 // # Messages
 //

@@ -182,12 +182,16 @@ func EncodeExplain(q OpenQuery) []byte { return appendQuery(nil, MsgExplain, q) 
 func EncodeCancel() []byte { return []byte{MsgCancel} }
 
 // EncodeBatch frames results as a MsgBatch payload: each result travels as
-// its Item tuple, the relation's own wire form.
+// its Item tuple, the relation's own wire form, under the FileID the
+// result carries — the ID is not re-hashed from the fields. For an Item
+// whose stored ID is the hash of its fields the bytes are those of
+// File.ItemTuple(); an Item stored under any other ID ships that stored
+// ID, which is what the daemon read, not a recomputed one.
 func EncodeBatch(results []piersearch.Result) []byte {
 	dst := append(codec.GetBuf(), MsgBatch)
 	dst = codec.AppendUvarint(dst, uint64(len(results)))
 	for _, r := range results {
-		dst = r.File.ItemTuple().Encode(dst)
+		dst = r.ItemTuple().Encode(dst)
 	}
 	out := append([]byte(nil), dst...)
 	codec.PutBuf(dst)

@@ -53,6 +53,39 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeBatchShipsTheCarriedID: a batch is encoded from the FileID each
+// result carries, with no hash computed. For an honestly published Item —
+// stored ID = hash of its fields — the bytes are exactly the encoding the
+// publisher's own File.ItemTuple() gives (what EncodeBatch hashed its way
+// to before); an Item stored under any other ID ships that stored ID.
+func TestEncodeBatchShipsTheCarriedID(t *testing.T) {
+	files := []piersearch.File{
+		{Name: "a.mp3", Size: 100, Host: "10.0.0.1", Port: 6346},
+		{Name: "b side demo.mp3", Size: 2_000_000, Host: "10.0.0.2", Port: 7000},
+	}
+	var results []piersearch.Result
+	golden := []byte{MsgBatch, byte(len(files))}
+	for _, f := range files {
+		results = append(results, piersearch.Result{File: f, FileID: f.ID()})
+		golden = f.ItemTuple().Encode(golden)
+	}
+	if got := EncodeBatch(results); !bytes.Equal(got, golden) {
+		t.Errorf("honest Items: batch differs from the File.ItemTuple encoding\n got %x\nwant %x", got, golden)
+	}
+
+	forged := piersearch.Result{File: files[0], FileID: piersearch.FileID{0xde, 0xad}}
+	if forged.FileID == forged.File.ID() {
+		t.Fatal("fixture: forged ID equals the hash")
+	}
+	got, err := Decode(EncodeBatch([]piersearch.Result{forged}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.(*Batch).Results[0]; r != forged {
+		t.Errorf("forged Item arrived as %+v, want the stored ID %s", r, forged.FileID)
+	}
+}
+
 func TestDoneErrorPublishRoundTrip(t *testing.T) {
 	d := Done{
 		Stats: piersearch.SearchStats{

@@ -68,6 +68,14 @@ func (o Options) maxQueries() int {
 // unsendable frame.
 const maxBatchBytes = 1 << 20
 
+// resultWireBound is an upper bound on r's encoded size in a Batch frame,
+// from field lengths alone: the two strings plus, for everything else in
+// an Item tuple (column count, five kind bytes, the 20-byte ID, two
+// string length prefixes, two varints), at most 64 bytes.
+func resultWireBound(r piersearch.Result) int {
+	return len(r.File.Name) + len(r.File.Host) + 64
+}
+
 func (o Options) batchSize() int {
 	if o.BatchSize <= 0 {
 		return 16
@@ -475,7 +483,7 @@ func (s *Server) handleQuery(st *wire.Stream, m *OpenQuery) {
 			return
 		}
 		pending = append(pending, r)
-		pendingBytes += r.File.ItemTuple().EncodedSize()
+		pendingBytes += resultWireBound(r)
 		// The first result ships alone so the client's time-to-first-result
 		// tracks the match phase; afterwards results batch up to BatchSize
 		// results or maxBatchBytes, whichever the plan hits first — the

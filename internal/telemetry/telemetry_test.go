@@ -167,6 +167,44 @@ func TestRingEvictsOldestFirst(t *testing.T) {
 	}
 }
 
+// TestAbsorbSkipsSpansAlreadyHeld: every traced response piggybacks the
+// responder's whole snapshot for the trace, so an origin that probes one
+// node n times is handed its first serve span n times. Absorbed again each
+// time, the copies filled the origin's ring and evicted its own oldest
+// spans — the dht.rpc parents of those very serve spans — which is how a
+// trace of ~130 RPCs over ten nodes came back with orphan roots.
+func TestAbsorbSkipsSpansAlreadyHeld(t *testing.T) {
+	origin, _ := newTestTracer("origin", WithRingSize(16))
+	owner, _ := newTestTracer("owner")
+	trace := origin.NewTraceID()
+	_, root := origin.StartRemote(context.Background(), trace, 0, "root")
+	root.Finish()
+
+	for rpc := 0; rpc < 12; rpc++ {
+		owner.StartHandler(trace, root.ID(), "serve").Finish()
+		origin.Absorb(owner.TraceSpans(trace)) // 1, 2, ... 12 spans: 78 in all
+	}
+	spans := origin.TraceSpans(trace)
+	if len(spans) != 13 {
+		t.Fatalf("origin holds %d spans, want its root and the owner's 12", len(spans))
+	}
+	if spans[0].Name != "root" {
+		t.Fatalf("the root was evicted by re-absorbed copies: oldest span is %q", spans[0].Name)
+	}
+	if origin.Dropped() != 0 {
+		t.Fatalf("dropped = %d, want 0", origin.Dropped())
+	}
+
+	// A span that was evicted is absorbed again if it shows up later.
+	small, _ := newTestTracer("small", WithRingSize(2))
+	snapshot := owner.TraceSpans(trace)[:3]
+	small.Absorb(snapshot)
+	small.Absorb(snapshot[:1])
+	if got := small.Spans(); len(got) != 2 || got[1].ID != snapshot[0].ID {
+		t.Fatalf("evicted span was not re-absorbed: ring = %+v", got)
+	}
+}
+
 func TestDeterministicIDs(t *testing.T) {
 	a1, _ := newTestTracer("same-name")
 	a2, _ := newTestTracer("same-name")

@@ -49,7 +49,8 @@ type Tracer struct {
 
 	mu    sync.Mutex
 	seq   uint64
-	ring  []Span // allocated lazily on first record
+	ring  []Span              // allocated lazily on first record
+	held  map[SpanID]struct{} // IDs of the spans in ring: what Absorb skips
 	size  int
 	next  int  // ring write cursor
 	full  bool // ring has wrapped at least once
@@ -123,30 +124,45 @@ func (t *Tracer) nextID() uint64 {
 // record appends a finished span, evicting the oldest on overflow.
 func (t *Tracer) record(s Span) {
 	t.mu.Lock()
+	t.recordLocked(s)
+	t.mu.Unlock()
+}
+
+func (t *Tracer) recordLocked(s Span) {
 	if t.ring == nil {
 		t.ring = make([]Span, t.size)
+		t.held = make(map[SpanID]struct{})
 	}
 	if t.full {
 		t.drops++
+		delete(t.held, t.ring[t.next].ID)
 	}
 	t.ring[t.next] = s
+	t.held[s.ID] = struct{}{}
 	t.next++
 	if t.next == len(t.ring) {
 		t.next = 0
 		t.full = true
 	}
-	t.mu.Unlock()
 }
 
 // Absorb copies spans recorded on another node (piggy-backed on an RPC
-// response) into this tracer's ring, preserving their Node stamp.
+// response) into this tracer's ring, preserving their Node stamp. A
+// span the ring already holds is skipped: every traced response carries
+// the responder's whole snapshot for the trace, so the n-th response
+// from one node repeats n-1 spans — absorbed again they would evict the
+// origin's own early spans and orphan their children.
 func (t *Tracer) Absorb(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return
 	}
+	t.mu.Lock()
 	for _, s := range spans {
-		t.record(s)
+		if _, dup := t.held[s.ID]; !dup {
+			t.recordLocked(s)
+		}
 	}
+	t.mu.Unlock()
 }
 
 // snapshot returns ring contents oldest-first.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"piersearch/internal/codec"
 	"piersearch/internal/telemetry"
@@ -38,6 +40,30 @@ import (
 //	            frames are still delivered, then Recv returns io.EOF.
 //	reset  (5)  body = string reason. Aborts the stream in both
 //	            directions immediately.
+//
+// Frames are not writes. A frame is appended to the session's pending
+// buffer and a flusher goroutine hands whatever has accumulated to the
+// socket in one Write, so the frames a handler queues back to back (a
+// query's batches, its Done, the close and the reset that release the
+// stream) and the frames other streams queue while a write is in the
+// kernel leave together. What that changes for callers:
+//
+//   - Send, Grant, CloseSend, Reset and Open returning nil mean the frame
+//     is queued, in order, behind every frame queued before it on this
+//     connection — not that it reached the socket. A later write error
+//     fails the session and every stream on it; the next call returns that
+//     error.
+//   - Mux.Close first writes what is queued (waiting at most
+//     closeDrainWait for a peer that has stopped reading), then closes the
+//     socket: a Send followed by Close, of the stream or of the session, is
+//     delivered. A session that dies on its own (read or write error) drops
+//     what was queued — there is nobody left to deliver it to.
+//   - A payload above coalesceFrameLimit is not copied: its Send writes
+//     what is pending and then the frame itself, and returns once the
+//     socket has taken it.
+//
+// The read loop reads through a small buffer, so a burst of small frames
+// costs one read, not two per frame.
 const (
 	frameOpen byte = iota + 1
 	frameData
@@ -49,6 +75,30 @@ const (
 // DefaultWindow is the per-stream receive window (in data frames) used
 // when the opener passes no explicit window.
 const DefaultWindow = 8
+
+const (
+	// maxPendingBytes bounds the frames queued for the flusher: a caller
+	// that would queue past it waits for the flusher to drain. Credits
+	// already bound data frames per stream; this bounds the session, and
+	// the control frames credits do not cover. 64 KiB is a few dozen
+	// batch frames — more than one socket write usefully carries.
+	maxPendingBytes = 64 << 10
+	// pendingKeepBytes is the largest write buffer an idle session keeps:
+	// one that grew past it in a burst is dropped after its write, so ten
+	// thousand quiet client sessions do not pin ten thousand burst-sized
+	// buffers.
+	pendingKeepBytes = 8 << 10
+	// muxReadBuf sizes the read loop's buffer. A query's answer is a
+	// handful of sub-kilobyte frames; 4 KiB takes the burst in one read,
+	// and larger payloads bypass the buffer (bufio reads them straight
+	// into the frame). One per session end — the DHT RPC path, with
+	// thousands of pooled connections, deliberately has none.
+	muxReadBuf = 4 << 10
+	// closeDrainWait bounds how long Close waits for queued frames to
+	// reach the socket before closing it under a peer that stopped
+	// reading.
+	closeDrainWait = time.Second
+)
 
 // StreamResetError reports that the peer (or the local Close) aborted the
 // stream.
@@ -70,7 +120,17 @@ type Mux struct {
 	conn    net.Conn
 	handler func(*Stream, []byte) // nil on the client side
 
-	writeMu sync.Mutex
+	// Write side. writeMu serialises socket writes (the flusher's, a large
+	// frame's own, Close's drain) and is taken before queueMu; queueMu
+	// guards the pending buffer and is all a small frame's sender takes.
+	writeMu  sync.Mutex
+	queueMu  sync.Mutex
+	pending  []byte        // queued frames, length prefixes included
+	spare    []byte        // the flusher's other buffer, swapped per write
+	queueErr error         // set by fail: nothing more is queued
+	space    sync.Cond     // on queueMu: pending shrank, or the session failed
+	wake     chan struct{} // cap 1: pending went non-empty
+	loops    sync.WaitGroup
 
 	// met holds the session's metric instruments; set after construction
 	// (the read loop is already running) so it lives in an atomic
@@ -88,7 +148,8 @@ type Mux struct {
 // attached with SetMetrics. Any field may be nil.
 type MuxMetrics struct {
 	FramesIn     *telemetry.Counter
-	FramesOut    *telemetry.Counter
+	FramesOut    *telemetry.Counter // frames queued for the socket
+	Flushes      *telemetry.Counter // trips to the socket; FramesOut/Flushes = frames per write
 	BytesIn      *telemetry.Counter
 	BytesOut     *telemetry.Counter
 	CreditStalls *telemetry.Counter // Sends that had to wait for credit
@@ -105,6 +166,7 @@ func RegisterMuxMetrics(reg *telemetry.Registry) *MuxMetrics {
 	return &MuxMetrics{
 		FramesIn:     reg.Counter("wire.mux.frames_in"),
 		FramesOut:    reg.Counter("wire.mux.frames_out"),
+		Flushes:      reg.Counter("wire.mux.flushes"),
 		BytesIn:      reg.Counter("wire.mux.bytes_in"),
 		BytesOut:     reg.Counter("wire.mux.bytes_out"),
 		CreditStalls: reg.Counter("wire.mux.credit_stalls"),
@@ -117,19 +179,29 @@ func RegisterMuxMetrics(reg *telemetry.Registry) *MuxMetrics {
 func (m *Mux) SetMetrics(mm *MuxMetrics) { m.met.Store(mm) }
 
 // NewClientMux wraps conn as the stream-opening side of a mux session and
-// starts its read loop.
-func NewClientMux(conn net.Conn) *Mux {
-	m := &Mux{conn: conn, streams: make(map[uint64]*Stream), nextID: 1, done: make(chan struct{})}
-	go m.readLoop()
-	return m
-}
+// starts its read loop and flusher.
+func NewClientMux(conn net.Conn) *Mux { return newMux(conn, nil, 1) }
 
 // NewServerMux wraps conn as the accepting side: handler runs in its own
 // goroutine for every stream the peer opens, receiving the stream and the
-// opening payload. The read loop starts immediately.
+// opening payload. The read loop and flusher start immediately.
 func NewServerMux(conn net.Conn, handler func(st *Stream, opening []byte)) *Mux {
-	m := &Mux{conn: conn, handler: handler, streams: make(map[uint64]*Stream), done: make(chan struct{})}
+	return newMux(conn, handler, 0)
+}
+
+func newMux(conn net.Conn, handler func(*Stream, []byte), firstID uint64) *Mux {
+	m := &Mux{
+		conn:    conn,
+		handler: handler,
+		streams: make(map[uint64]*Stream),
+		nextID:  firstID,
+		done:    make(chan struct{}),
+		wake:    make(chan struct{}, 1),
+	}
+	m.space.L = &m.queueMu
+	m.loops.Add(2)
 	go m.readLoop()
+	go m.flushLoop()
 	return m
 }
 
@@ -143,11 +215,16 @@ func (m *Mux) Err() error {
 // Done is closed when the mux session ends (connection failure or Close).
 func (m *Mux) Done() <-chan struct{} { return m.done }
 
-// Close tears the session down: the connection is closed and every open
-// stream fails with the mux error.
+// Close tears the session down: frames already queued are written (for at
+// most closeDrainWait), the connection is closed, every open stream fails
+// with the mux error, and the read loop and flusher have exited when it
+// returns.
 func (m *Mux) Close() error {
+	m.conn.SetWriteDeadline(time.Now().Add(closeDrainWait)) //nolint:errcheck // a conn without deadlines drains unbounded, as it wrote before
+	m.flush(nil)                                            //nolint:errcheck // closing either way
 	err := m.conn.Close()
 	m.fail(fmt.Errorf("wire: mux closed"))
+	m.loops.Wait()
 	return err
 }
 
@@ -169,6 +246,11 @@ func (m *Mux) fail(err error) {
 	}
 	m.streams = map[uint64]*Stream{}
 	m.mu.Unlock()
+	m.queueMu.Lock()
+	m.queueErr = err
+	m.pending, m.spare = nil, nil
+	m.space.Broadcast()
+	m.queueMu.Unlock()
 	for _, st := range streams {
 		st.terminate(err)
 	}
@@ -224,40 +306,140 @@ func (m *Mux) lookup(id uint64) *Stream {
 // a local validation failure of that one Send — the session stays up.
 var ErrFrameTooLarge = fmt.Errorf("wire: frame exceeds %d-byte limit", MaxFrame)
 
-// writeFrame sends one mux frame: all stream writes share the connection
-// under one lock, so frames interleave but never tear. An over-limit
-// payload fails only the calling stream; a connection write failure kills
-// the session.
+// writeFrame queues one mux frame behind every frame queued before it. An
+// over-limit payload fails only the calling stream, before anything is
+// queued; on a failed session it returns the session's error. A small
+// frame is copied into the pending buffer for the flusher; a large one is
+// written from the caller's slice once what is pending has left.
 func (m *Mux) writeFrame(id uint64, kind byte, body []byte) error {
 	if len(body)+binary.MaxVarintLen64+1 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	buf := codec.GetBuf()
-	buf = codec.AppendUvarint(buf, id)
-	buf = append(buf, kind)
-	buf = append(buf, body...)
-	m.writeMu.Lock()
-	err := WriteFrame(m.conn, buf)
-	m.writeMu.Unlock()
-	if mm := m.met.Load(); mm != nil && err == nil {
+	if len(body) > coalesceFrameLimit {
+		var head [4 + binary.MaxVarintLen64 + 1]byte
+		h := codec.AppendUvarint(head[:4], id)
+		h = append(h, kind)
+		binary.BigEndian.PutUint32(h, uint32(len(h)-4+len(body)))
+		err := m.flush(net.Buffers{h, body})
+		if err != nil {
+			m.fail(fmt.Errorf("wire: mux write: %w", err))
+			return err
+		}
+		m.countFrame(kind, len(h)+len(body))
+		return nil
+	}
+	m.queueMu.Lock()
+	for len(m.pending) >= maxPendingBytes && m.queueErr == nil {
+		m.space.Wait()
+	}
+	if err := m.queueErr; err != nil {
+		m.queueMu.Unlock()
+		return err
+	}
+	off := len(m.pending)
+	p := append(m.pending, 0, 0, 0, 0)
+	p = codec.AppendUvarint(p, id)
+	p = append(p, kind)
+	p = append(p, body...)
+	binary.BigEndian.PutUint32(p[off:], uint32(len(p)-off-4))
+	m.pending = p
+	m.queueMu.Unlock()
+	if off == 0 {
+		select {
+		case m.wake <- struct{}{}:
+		default:
+		}
+	}
+	m.countFrame(kind, len(p)-off)
+	return nil
+}
+
+func (m *Mux) countFrame(kind byte, wireBytes int) {
+	if mm := m.met.Load(); mm != nil {
 		mm.FramesOut.Inc()
-		mm.BytesOut.Add(int64(len(buf) + 4))
+		mm.BytesOut.Add(int64(wireBytes))
 		if kind == frameReset {
 			mm.Resets.Inc()
 		}
 	}
-	codec.PutBuf(buf)
-	if err != nil {
-		m.fail(fmt.Errorf("wire: mux write: %w", err))
+}
+
+// flush writes the pending frames, then tail (a large frame's header and
+// payload, or nil), as one trip to the socket. Everything queued before
+// the call has been handed to the socket when it returns nil.
+func (m *Mux) flush(tail net.Buffers) error {
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	m.queueMu.Lock()
+	if err := m.queueErr; err != nil {
+		m.queueMu.Unlock()
+		return err
 	}
+	buf := m.pending
+	if len(buf) == 0 && len(tail) == 0 {
+		m.queueMu.Unlock()
+		return nil
+	}
+	m.pending, m.spare = m.spare[:0], nil
+	if len(buf) >= maxPendingBytes {
+		m.space.Broadcast()
+	}
+	m.queueMu.Unlock()
+	var err error
+	if len(tail) == 0 {
+		_, err = m.conn.Write(buf)
+	} else {
+		// One writev on a TCP conn; pending frames first, so order holds.
+		if len(buf) > 0 {
+			tail = append(net.Buffers{buf}, tail...)
+		}
+		_, err = tail.WriteTo(m.conn)
+	}
+	if mm := m.met.Load(); mm != nil && err == nil {
+		mm.Flushes.Inc()
+	}
+	m.recycle(buf)
 	return err
+}
+
+// recycle hands a written buffer back as the flusher's spare, unless a
+// burst grew it past what an idle session should keep.
+func (m *Mux) recycle(buf []byte) {
+	if cap(buf) > pendingKeepBytes {
+		return
+	}
+	m.queueMu.Lock()
+	if m.queueErr == nil {
+		m.spare = buf[:0]
+	}
+	m.queueMu.Unlock()
+}
+
+// flushLoop is the session's flusher: woken when the pending buffer goes
+// non-empty, it writes whatever has accumulated by the time it runs. It
+// exits with the session.
+func (m *Mux) flushLoop() {
+	defer m.loops.Done()
+	for {
+		select {
+		case <-m.wake:
+		case <-m.done:
+			return
+		}
+		if err := m.flush(nil); err != nil {
+			m.fail(fmt.Errorf("wire: mux write: %w", err))
+			return
+		}
+	}
 }
 
 // readLoop dispatches incoming frames to their streams until the
 // connection fails.
 func (m *Mux) readLoop() {
+	defer m.loops.Done()
+	br := bufio.NewReaderSize(m.conn, muxReadBuf)
 	for {
-		payload, err := ReadFrame(m.conn)
+		payload, err := ReadFrame(br)
 		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF

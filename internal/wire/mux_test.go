@@ -15,18 +15,44 @@ import (
 // socket, routing accepted streams to handler.
 func muxPair(t *testing.T, handler func(*Stream, []byte)) (*Mux, *Mux) {
 	t.Helper()
+	return muxPairOn(t, nil, nil, handler)
+}
+
+// muxPairOn is muxPair with each end's socket passed through wrap first
+// (nil: used as is), so a test can count, stall or fail that end's writes.
+func muxPairOn(t *testing.T, wrapClient, wrapServer func(net.Conn) net.Conn, handler func(*Stream, []byte)) (*Mux, *Mux) {
+	t.Helper()
+	cc, sc := tcpPair(t)
+	if wrapClient != nil {
+		cc = wrapClient(cc)
+	}
+	if wrapServer != nil {
+		sc = wrapServer(sc)
+	}
+	client := NewClientMux(cc)
+	server := NewServerMux(sc, handler)
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	return client, server
+}
+
+// tcpPair returns the two ends of one loopback TCP connection.
+func tcpPair(t *testing.T) (dialed, accepted net.Conn) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	type accepted struct {
+	type result struct {
 		conn net.Conn
 		err  error
 	}
-	ch := make(chan accepted, 1)
+	ch := make(chan result, 1)
 	go func() {
 		c, err := ln.Accept()
-		ch <- accepted{c, err}
+		ch <- result{c, err}
 	}()
 	cc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -37,13 +63,7 @@ func muxPair(t *testing.T, handler func(*Stream, []byte)) (*Mux, *Mux) {
 	if a.err != nil {
 		t.Fatal(a.err)
 	}
-	client := NewClientMux(cc)
-	server := NewServerMux(a.conn, handler)
-	t.Cleanup(func() {
-		client.Close()
-		server.Close()
-	})
-	return client, server
+	return cc, a.conn
 }
 
 func TestMuxEcho(t *testing.T) {
