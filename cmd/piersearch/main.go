@@ -110,6 +110,12 @@ func run() int {
 	var publishes publishList
 	flag.Var(&publishes, "publish", "filename to publish (repeatable)")
 	flag.Parse()
+	strat, err := parseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "piersearch: %v\n", err)
+		flag.Usage()
+		return 2
+	}
 
 	logger := telemetry.NewTextLogger(os.Stderr, telemetry.ParseLevel(*logLevel))
 
@@ -119,11 +125,6 @@ func run() int {
 	// release its lock file rather than die mid-commit.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	strat := piersearch.StrategyCache
-	if *strategy == "join" {
-		strat = piersearch.StrategyJoin
-	}
 
 	if *connect != "" {
 		return runClient(ctx, clientConfig{
@@ -140,6 +141,18 @@ func run() int {
 		perClientQPS: *perClientQPS, perClientBurst: *perClientBurst,
 		debugAddr: *debugAddr, trace: *trace, logger: logger,
 	})
+}
+
+// parseStrategy maps the -strategy flag to a query plan. Anything but the
+// two plan names is an error: a typo must not silently run the cache plan.
+func parseStrategy(s string) (piersearch.Strategy, error) {
+	switch s {
+	case "cache":
+		return piersearch.StrategyCache, nil
+	case "join":
+		return piersearch.StrategyJoin, nil
+	}
+	return 0, fmt.Errorf("unknown -strategy %q (want cache or join)", s)
 }
 
 // --- client mode -------------------------------------------------------------

@@ -4,8 +4,9 @@
 // virtual-time scale.Net — must agree on the same observable contract:
 // responses match their requests, sequential calls arrive in order,
 // unreachable and detached nodes fail cleanly, canceled contexts abort
-// before the handler runs, and concurrent callers do not corrupt each
-// other (the suite is expected to run under -race).
+// before the handler runs, concurrent callers do not corrupt each other
+// (the suite is expected to run under -race), and a lookup reply carries
+// only the contacts its request asked for.
 //
 // A transport plugs in by filling a Harness; the suite drives everything
 // else through it. The Run hook exists for transports whose callers must
@@ -57,6 +58,7 @@ func RunConformance(t *testing.T, mk func(t *testing.T) *Harness) {
 	t.Run("IterativeLookup", func(t *testing.T) { testIterativeLookup(t, mk(t)) })
 	t.Run("EvictionOnFailure", func(t *testing.T) { testEvictionOnFailure(t, mk(t)) })
 	t.Run("DetachedPeerDuringLookup", func(t *testing.T) { testDetachedPeerDuringLookup(t, mk(t)) })
+	t.Run("NarrowReply", func(t *testing.T) { testNarrowReply(t, mk(t)) })
 }
 
 func appReq(from *dht.Node, app string, data []byte) *dht.Request {
@@ -331,5 +333,62 @@ func testDetachedPeerDuringLookup(t *testing.T, h *Harness) {
 		if dead[c.ID] {
 			t.Errorf("detached peer %s appears in the lookup result", c.ID.Short())
 		}
+	}
+}
+
+// testNarrowReply checks that a reply carries only the contacts its caller
+// reads, across the transport: a FindNode asking for Want contacts gets
+// min(Want, K, table size) of them, nearest first, and a FindValue that
+// reaches a holder gets the values with at most Replicate contacts.
+func testNarrowReply(t *testing.T, h *Harness) {
+	nodes := buildNetwork(t, h, 10)
+	// The join seed has observed every joiner, so its table is the largest.
+	responder, caller := nodes[0], nodes[1]
+	cfg := responder.Config()
+	target := dht.NamespacedID("dhttest", "narrow")
+	call := func(req *dht.Request) *dht.Response {
+		t.Helper()
+		req.From = caller.Info()
+		var resp *dht.Response
+		var err error
+		h.Run(func() {
+			resp, err = h.Transport.CallContext(context.Background(), responder.Info(), req)
+		})
+		if err != nil {
+			t.Fatalf("%s want=%d: %v", req.Kind, req.Want, err)
+		}
+		return resp
+	}
+	for _, want := range []int{1, 3, 6, cfg.K + 5, 0} {
+		resp := call(&dht.Request{Kind: dht.RPCFindNode, Target: target, Want: want})
+		limit := want
+		if limit == 0 || limit > cfg.K {
+			limit = cfg.K
+		}
+		wantLen := min(limit, responder.TableLen())
+		if len(resp.Closest) != wantLen {
+			t.Errorf("FindNode want=%d: %d contacts, want %d (table holds %d)",
+				want, len(resp.Closest), wantLen, responder.TableLen())
+		}
+		for i := 1; i < len(resp.Closest); i++ {
+			if dht.Closer(resp.Closest[i].ID, resp.Closest[i-1].ID, target) {
+				t.Errorf("FindNode want=%d: contacts not nearest first at %d", want, i)
+			}
+		}
+	}
+
+	if resp := call(&dht.Request{Kind: dht.RPCFindValue, Target: target}); len(resp.Values) != 0 ||
+		len(resp.Closest) != min(cfg.K, responder.TableLen()) {
+		t.Errorf("FindValue at a non-holder: %d values, %d contacts; want 0 values, %d contacts",
+			len(resp.Values), len(resp.Closest), min(cfg.K, responder.TableLen()))
+	}
+	responder.LocalPut(target, []byte("held"))
+	resp := call(&dht.Request{Kind: dht.RPCFindValue, Target: target})
+	if len(resp.Values) != 1 || string(resp.Values[0].Data) != "held" {
+		t.Fatalf("FindValue at the holder returned values %v, want the one it holds", resp.Values)
+	}
+	if len(resp.Closest) > cfg.Replicate {
+		t.Errorf("FindValue at the holder attached %d contacts, want at most Replicate = %d",
+			len(resp.Closest), cfg.Replicate)
 	}
 }

@@ -442,14 +442,25 @@ func (n *Node) handleRPC(req *Request) *Response {
 	case RPCPing:
 		return &Response{From: n.self, OK: true}
 
-	case RPCFindNode:
-		closest := n.table.Closest(req.Target, n.info.K)
-		return &Response{From: n.self, Closest: closest, OK: true}
-
-	case RPCFindValue:
-		values := n.store.Get(req.Target, n.info.Clock())
-		closest := n.table.Closest(req.Target, n.info.K)
-		return &Response{From: n.self, Values: values, Closest: closest, OK: true}
+	case RPCFindNode, RPCFindValue:
+		// A reply ships only as many contacts as its caller reads: Want
+		// when the caller set one, else K.
+		width := n.info.K
+		if req.Want > 0 && req.Want < width {
+			width = req.Want
+		}
+		resp := &Response{From: n.self, OK: true}
+		if req.Kind == RPCFindValue {
+			resp.Values = n.store.Get(req.Target, n.info.Clock())
+			// Kademlia's FIND_VALUE answers with the value instead of
+			// contacts. A walker still short of Replicate holders needs
+			// only the other holders, and those are this holder's nearest.
+			if len(resp.Values) > 0 && width > n.info.Replicate {
+				width = n.info.Replicate
+			}
+		}
+		resp.Closest = n.table.Closest(req.Target, width)
+		return resp
 
 	case RPCStore:
 		n.store.Put(req.Target, req.Value)
@@ -583,7 +594,18 @@ func (n *Node) iterate(ctx context.Context, target ID, findValue bool, need int)
 			psp.SetAttr("to", to.Addr)
 			psp.SetAttr("depth", strconv.Itoa(depth))
 		}
-		req := &Request{Kind: kind, Target: target}
+		// A walk converging on need contacts reads no reply past its
+		// window, the need nearest non-failed candidates. That window
+		// reaches one place further out for every probe that has failed
+		// so far and for each of the α in flight that still may, so a
+		// reply needs that many contacts. A K-wide walk sends Want 0.
+		mu.Lock()
+		want := need + n.info.Alpha + stats.Failed
+		mu.Unlock()
+		if need <= 0 || want >= n.info.K {
+			want = 0
+		}
+		req := &Request{Kind: kind, Target: target, Want: want}
 		resp, err := n.callCtx(ctx, to, req)
 		psp.FinishErr(err)
 		mu.Lock()

@@ -3,6 +3,7 @@ package dht
 import (
 	"context"
 
+	"piersearch/internal/codec"
 	"piersearch/internal/telemetry"
 )
 
@@ -53,6 +54,12 @@ type Request struct {
 	Data    []byte           // App payload
 	Records []ProviderRecord // Provide payload
 
+	// Want is how many contacts a FindNode/FindValue caller will read from
+	// the reply; 0 means K. A lookup that converges on fewer than K sets
+	// it (Node.iterate), so the responder does not ship contacts the
+	// walker would discard.
+	Want int
+
 	// Trace context: zero TraceID means untraced. Stamped by the caller
 	// (Node.callCtx) from the request context; carried as a versioned
 	// trailing block by the TCP transport and as plain struct fields by
@@ -76,15 +83,18 @@ type Response struct {
 }
 
 // nodeInfoWireBytes approximates the serialized size of one contact:
-// 20-byte ID + address string + framing.
-func nodeInfoWireBytes(n NodeInfo) int { return IDBytes + len(n.Addr) + 4 }
+// 20-byte ID + address string + its one-byte length.
+func nodeInfoWireBytes(n NodeInfo) int { return IDBytes + len(n.Addr) + 1 }
 
-// rpcHeaderBytes approximates fixed per-message framing overhead.
-const rpcHeaderBytes = 16
+// rpcHeaderBytes approximates fixed per-message overhead: the 4-byte frame
+// length prefix plus the kind/flag bytes and empty-field lengths every
+// message carries.
+const rpcHeaderBytes = 10
 
-// WireSize estimates the serialized request size in bytes for traffic
-// accounting on the simulated transport. The TCP transport counts real
-// encoded bytes instead.
+// WireSize estimates the request's size on the wire, frame prefix
+// included. Every byte figure the stack reports, over TCP too, is a sum of
+// these estimates, not a count of socket bytes; package wire's tests hold
+// them within 10 % of the encoding.
 func (r *Request) WireSize() int {
 	n := rpcHeaderBytes + nodeInfoWireBytes(r.From) + IDBytes
 	n += len(r.Value.Data)
@@ -98,6 +108,9 @@ func (r *Request) WireSize() int {
 	n++ // trace flag byte
 	if r.TraceID != 0 {
 		n += 16
+	}
+	if r.Want != 0 {
+		n += codec.UvarintLen(uint64(r.Want))
 	}
 	return n
 }

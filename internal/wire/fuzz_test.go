@@ -15,6 +15,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	seeds := []*dht.Request{
 		{Kind: dht.RPCPing},
 		{Kind: dht.RPCFindNode, Target: dht.StringID("t")},
+		{Kind: dht.RPCFindNode, Target: dht.StringID("t"), Want: 6},
+		{Kind: dht.RPCFindValue, Target: dht.StringID("t"), Want: 300, TraceID: 1, SpanID: 2},
 		{
 			Kind:   dht.RPCStore,
 			From:   dht.NodeInfo{ID: dht.StringID("from"), Addr: "1.2.3.4:5"},
@@ -53,7 +55,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		if again.Kind != req.Kind || again.From != req.From || again.Target != req.Target ||
 			again.App != req.App || string(again.Data) != string(req.Data) ||
-			len(again.Records) != len(req.Records) {
+			len(again.Records) != len(req.Records) || again.Want != req.Want {
 			t.Fatalf("round-trip drift:\n  first  %+v\n  second %+v", req, again)
 		}
 	})

@@ -385,6 +385,11 @@ func (m *Mux) flush(tail net.Buffers) error {
 		m.space.Broadcast()
 	}
 	m.queueMu.Unlock()
+	// Count the trip before making it: a peer that has read the bytes must
+	// find them counted, and a failed write fails the whole session anyway.
+	if mm := m.met.Load(); mm != nil {
+		mm.Flushes.Inc()
+	}
 	var err error
 	if len(tail) == 0 {
 		_, err = m.conn.Write(buf)
@@ -394,9 +399,6 @@ func (m *Mux) flush(tail net.Buffers) error {
 			tail = append(net.Buffers{buf}, tail...)
 		}
 		_, err = tail.WriteTo(m.conn)
-	}
-	if mm := m.met.Load(); mm != nil && err == nil {
-		mm.Flushes.Inc()
 	}
 	m.recycle(buf)
 	return err

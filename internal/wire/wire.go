@@ -124,8 +124,19 @@ func EncodeRequest(req *dht.Request) []byte {
 	// untraced, so the hot path pays no allocation and peers that
 	// predate tracing still parse (the decoder treats an exhausted
 	// buffer as "no trace").
-	return telemetry.AppendTraceContext(buf, req.TraceID, req.SpanID)
+	buf = telemetry.AppendTraceContext(buf, req.TraceID, req.SpanID)
+	// Trailing reply width, present only when non-zero: a K-wide request
+	// encodes exactly as it did before the field existed, and a frame
+	// that ends at the trace block decodes as Want 0, "K".
+	if req.Want != 0 {
+		buf = codec.AppendUvarint(buf, uint64(req.Want))
+	}
+	return buf
 }
+
+// maxWant bounds a decoded Request.Want; no routing table holds more
+// contacts than this, so a larger value can only be corrupt.
+const maxWant = 1 << 16
 
 // DecodeRequest parses a DHT request. Every retained field is copied out
 // of buf, so the caller may recycle buf afterwards.
@@ -143,6 +154,15 @@ func DecodeRequest(buf []byte) (*dht.Request, error) {
 	req.Data = r.Bytes()
 	req.Records = dht.ReadProviderRecords(r)
 	req.TraceID, req.SpanID = telemetry.ReadTraceContext(r)
+	if r.Len() > 0 {
+		// Present means non-zero: an encoder never writes Want 0, so a
+		// trailing zero is garbage, not a second spelling of "K".
+		if w := r.Uvarint(); w == 0 || w > maxWant {
+			r.Fail("reply width out of range")
+		} else {
+			req.Want = int(w)
+		}
+	}
 	return req, r.Finish()
 }
 

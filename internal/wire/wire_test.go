@@ -2,14 +2,17 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"piersearch/internal/codec"
 	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
+	"piersearch/internal/telemetry"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -148,10 +151,112 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			t.Errorf("garbage response %v accepted", buf)
 		}
 	}
-	// Trailing bytes must be rejected.
+	// Trailing bytes must be rejected. A trailing Want is present only
+	// when non-zero, so a zero there is garbage, and no table is wide
+	// enough to justify one past 1<<16.
 	good := EncodeRequest(&dht.Request{Kind: dht.RPCPing})
-	if _, err := DecodeRequest(append(good, 0)); err == nil {
-		t.Error("trailing request bytes accepted")
+	for _, tail := range [][]byte{
+		{0},
+		codec.AppendUvarint(nil, 1<<16+1),
+		codec.AppendUvarint(nil, 1<<40),
+		{0x80}, // truncated uvarint
+		{6, 6}, // a field after Want
+	} {
+		if _, err := DecodeRequest(append(append([]byte{}, good...), tail...)); err == nil {
+			t.Errorf("trailing request bytes %x accepted", tail)
+		}
+	}
+}
+
+// TestRequestEncodingWithoutWantUnchanged pins that a request with Want 0
+// (every K-wide lookup, and every frame a peer predating the field sends)
+// encodes byte for byte as it did before Want existed, traced or not.
+func TestRequestEncodingWithoutWantUnchanged(t *testing.T) {
+	req := &dht.Request{
+		Kind:   dht.RPCFindNode,
+		From:   dht.NodeInfo{ID: dht.StringID("from"), Addr: "1.2.3.4:5"},
+		Target: dht.StringID("target"),
+	}
+	const untraced = "010b1e95cfd9775191a7224d0a218ae79187e80c1d09312e322e332e343a35" +
+		"0e8a3ad980ec179856012b7eecf4327e99cd44cd000000010000"
+	if got := hex.EncodeToString(EncodeRequest(req)); got != untraced {
+		t.Errorf("untraced FindNode encodes as\n %s\nwant\n %s", got, untraced)
+	}
+	req.TraceID, req.SpanID = 7, 9
+	const traced = "010b1e95cfd9775191a7224d0a218ae79187e80c1d09312e322e332e343a35" +
+		"0e8a3ad980ec179856012b7eecf4327e99cd44cd000000010001" +
+		"0000000000000007" + "0000000000000009"
+	if got := hex.EncodeToString(EncodeRequest(req)); got != traced {
+		t.Errorf("traced FindNode encodes as\n %s\nwant\n %s", got, traced)
+	}
+}
+
+func TestRequestWantRoundTrip(t *testing.T) {
+	for _, want := range []int{1, 6, 127, 128, 1 << 16} {
+		for _, trace := range []telemetry.TraceID{0, 42} {
+			req := &dht.Request{Kind: dht.RPCFindNode, Target: dht.StringID("k"), Want: want, TraceID: trace, SpanID: 3}
+			buf := EncodeRequest(req)
+			got, err := DecodeRequest(buf)
+			if err != nil {
+				t.Fatalf("want=%d trace=%d: %v", want, trace, err)
+			}
+			if got.Want != want || got.TraceID != trace {
+				t.Errorf("want=%d trace=%d decoded as want=%d trace=%d", want, trace, got.Want, got.TraceID)
+			}
+			req.Want = 0
+			if extra := len(buf) - len(EncodeRequest(req)); extra != codec.UvarintLen(uint64(want)) {
+				t.Errorf("want=%d costs %d bytes on the wire, want its uvarint", want, extra)
+			}
+		}
+	}
+}
+
+// TestWireSizeTracksEncoding holds the traffic accounting to the codec:
+// every byte figure the stack reports is a sum of WireSize estimates, so
+// each must stay within 10 % of what the TCP transport writes for its
+// message — the encoding plus the frame's 4-byte length prefix, which the
+// estimate counts.
+func TestWireSizeTracksEncoding(t *testing.T) {
+	addr := func(i int) string { return fmt.Sprintf("127.0.0.1:%d", 40000+i) }
+	contacts := func(n int) []dht.NodeInfo {
+		out := make([]dht.NodeInfo, n)
+		for i := range out {
+			out[i] = dht.NodeInfo{ID: dht.StringID(fmt.Sprint("c", i)), Addr: addr(i)}
+		}
+		return out
+	}
+	from := dht.NodeInfo{ID: dht.StringID("from"), Addr: addr(99)}
+	value := func(n int) dht.StoredValue {
+		return dht.StoredValue{Data: bytes.Repeat([]byte{'v'}, n), Publisher: dht.StringID("pub"),
+			StoredAt: 90 * time.Second, TTL: 30 * time.Minute}
+	}
+	requests := map[string]*dht.Request{
+		"ping":            {Kind: dht.RPCPing, From: from},
+		"narrow FindNode": {Kind: dht.RPCFindNode, From: from, Target: dht.StringID("t"), Want: 6},
+		"K-wide FindNode": {Kind: dht.RPCFindNode, From: from, Target: dht.StringID("t")},
+		"Store":           {Kind: dht.RPCStore, From: from, Target: dht.StringID("t"), Value: value(120)},
+		"App":             {Kind: dht.RPCApp, From: from, App: "pier.chain", Data: bytes.Repeat([]byte{1}, 300)},
+	}
+	for name, req := range requests {
+		checkWireSize(t, name+" request", req.WireSize(), 4+len(EncodeRequest(req)))
+	}
+	responses := map[string]*dht.Response{
+		"ping":                  {From: from, OK: true},
+		"narrow FindNode":       {From: from, Closest: contacts(6), OK: true},
+		"K-wide FindNode":       {From: from, Closest: contacts(20), OK: true},
+		"FindValue with values": {From: from, Closest: contacts(3), Values: []dht.StoredValue{value(60), value(80)}, OK: true},
+		"Store":                 {From: from, OK: true},
+		"App":                   {From: from, Data: bytes.Repeat([]byte{2}, 500), OK: true},
+	}
+	for name, resp := range responses {
+		checkWireSize(t, name+" response", resp.WireSize(), 4+len(EncodeResponse(resp)))
+	}
+}
+
+func checkWireSize(t *testing.T, name string, estimate, framed int) {
+	t.Helper()
+	if d := float64(estimate-framed) / float64(framed); d < -0.10 || d > 0.10 {
+		t.Errorf("%s: WireSize %d, framed encoding %d bytes (%+.1f %%)", name, estimate, framed, 100*d)
 	}
 }
 
