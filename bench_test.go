@@ -13,6 +13,7 @@
 package bench
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -392,7 +393,7 @@ func BenchmarkAblationJoinOrder(b *testing.B) {
 			shipped := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := engines[i%24].ChainJoin(piersearch.TableInverted,
+				_, stats, err := engines[i%24].ChainJoinContext(context.Background(), piersearch.TableInverted,
 					[]pier.Value{pier.String("common"), pier.String("rareterm")}, "fileID", 0)
 				if err != nil {
 					b.Fatal(err)
@@ -473,7 +474,7 @@ func BenchmarkAblationDHTParams(b *testing.B) {
 			msgs, hops := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := cluster.Nodes[i%64].Lookup(dht.StringID(itoa(i)))
+				_, stats, err := cluster.Nodes[i%64].LookupContext(context.Background(), dht.StringID(itoa(i)))
 				if err != nil {
 					b.Fatal(err)
 				}

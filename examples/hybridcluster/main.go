@@ -47,7 +47,7 @@ func main() {
 	}()
 
 	for i := 1; i < n; i++ {
-		if err := nodes[i].Bootstrap(nodes[0].Info()); err != nil {
+		if err := nodes[i].JoinNetwork([]dht.NodeInfo{nodes[0].Info()}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -48,12 +48,12 @@ func NewCluster(n int, seed int64, cfg Config) (*Cluster, error) {
 		c.Net.Join(node)
 		c.Nodes = append(c.Nodes, node)
 	}
-	seedInfo := c.Nodes[0].Info()
+	seeds := []NodeInfo{c.Nodes[0].Info()}
 	for i, node := range c.Nodes {
 		if i == 0 {
 			continue
 		}
-		if err := node.Bootstrap(seedInfo); err != nil {
+		if err := node.JoinNetwork(seeds); err != nil {
 			c.Close() //nolint:errcheck // already failing
 			return nil, fmt.Errorf("dht: bootstrap node %d: %w", i, err)
 		}
@@ -71,7 +71,7 @@ func (c *Cluster) AddNode(cfg Config) (*Node, error) {
 	}
 	c.Net.Join(node)
 	if len(c.Nodes) > 0 {
-		if err := node.Bootstrap(c.Nodes[0].Info()); err != nil {
+		if err := node.JoinNetwork([]NodeInfo{c.Nodes[0].Info()}); err != nil {
 			c.Net.Remove(node.Info().Addr)
 			node.Close() //nolint:errcheck // already failing
 			return nil, err

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,15 +29,15 @@ func TestConcurrentPutGet(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				key := fmt.Sprintf("key-%d", i%8) // overlap keys across goroutines
 				data := []byte(fmt.Sprintf("val-%d-%d", g, i))
-				if _, err := node.Put("bench", key, data); err != nil {
+				if _, err := node.PutContext(context.Background(), "bench", key, data); err != nil {
 					errs <- fmt.Errorf("put %s: %w", key, err)
 					return
 				}
-				if _, _, err := node.Get("bench", key); err != nil {
+				if _, _, err := node.GetContext(context.Background(), "bench", key); err != nil {
 					errs <- fmt.Errorf("get %s: %w", key, err)
 					return
 				}
-				if _, _, err := node.Lookup(StringID(key)); err != nil {
+				if _, _, err := node.LookupContext(context.Background(), StringID(key)); err != nil {
 					errs <- fmt.Errorf("lookup %s: %w", key, err)
 					return
 				}
@@ -52,7 +53,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	// Every key must now be resolvable from every node with a full value set.
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		values, _, err := cluster.Nodes[i].Get("bench", key)
+		values, _, err := cluster.Nodes[i].GetContext(context.Background(), "bench", key)
 		if err != nil {
 			t.Fatalf("final get %s: %v", key, err)
 		}
@@ -81,7 +82,7 @@ func TestConcurrentAppSend(t *testing.T) {
 			node := cluster.Nodes[g%len(cluster.Nodes)]
 			for i := 0; i < 15; i++ {
 				payload := []byte(fmt.Sprintf("msg-%d-%d", g, i))
-				reply, _, err := node.Send(StringID(fmt.Sprintf("target-%d", i)), "echo", payload)
+				reply, _, err := node.SendContext(context.Background(), StringID(fmt.Sprintf("target-%d", i)), "echo", payload)
 				if err != nil {
 					errs <- err
 					return

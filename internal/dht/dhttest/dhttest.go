@@ -1,5 +1,5 @@
 // Package dhttest provides a reusable conformance suite for
-// dht.ContextTransport implementations. Every in-process transport — the
+// dht.Transport implementations. Every in-process transport — the
 // zero-latency LocalNetwork, the wall-clock simnet.RealTime, and the
 // virtual-time scale.Net — must agree on the same observable contract:
 // responses match their requests, sequential calls arrive in order,
@@ -28,7 +28,7 @@ import (
 // All fields are required.
 type Harness struct {
 	// Transport is the implementation under test.
-	Transport dht.ContextTransport
+	Transport dht.Transport
 
 	// NewNode creates a fresh node, registers it on the transport, and
 	// arranges its cleanup. Each call must yield a distinct address.
@@ -269,7 +269,7 @@ func testIterativeLookup(t *testing.T, h *Harness) {
 	var stats dht.LookupStats
 	var err error
 	h.Run(func() {
-		got, stats, err = origin.Lookup(target.ID)
+		got, stats, err = origin.LookupContext(context.Background(), target.ID)
 	})
 	if err != nil {
 		t.Fatalf("lookup: %v", err)
@@ -297,7 +297,7 @@ func testEvictionOnFailure(t *testing.T, h *Harness) {
 	h.Detach(b.Info().Addr)
 	h.Run(func() {
 		// The lookup probes b, the only contact; the failed RPC must evict it.
-		a.Lookup(b.Info().ID) //nolint:errcheck // probing a dead peer may error
+		a.LookupContext(context.Background(), b.Info().ID) //nolint:errcheck // probing a dead peer may error
 	})
 	if got := a.TableLen(); got != 0 {
 		t.Fatalf("table still holds %d contacts after its only peer died", got)
@@ -321,7 +321,7 @@ func testDetachedPeerDuringLookup(t *testing.T, h *Harness) {
 	var got []dht.NodeInfo
 	var err error
 	h.Run(func() {
-		got, _, err = origin.Lookup(target.ID)
+		got, _, err = origin.LookupContext(context.Background(), target.ID)
 	})
 	if err != nil {
 		t.Fatalf("lookup with detached peers: %v", err)

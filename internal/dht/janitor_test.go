@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"piersearch/internal/telemetry"
 )
 
 // TestJanitorReclaimsExpired pins the background soft-state sweep: TTL'd
@@ -82,14 +84,14 @@ func TestExpireNow(t *testing.T) {
 // TestJanitorStatsExposeReclaimCount pins that sweep results are counted
 // and logged instead of discarded: JanitorStats must report the entries
 // reclaimed by both the ticker and explicit ExpireNow calls, and
-// Config.Logf must see nonzero sweeps.
+// Config.Logger must see nonzero sweeps.
 func TestJanitorStatsExposeReclaimCount(t *testing.T) {
 	var now atomic.Int64
 	var logged atomic.Int64
 	cfg := Config{
-		TTL:   time.Second,
-		Clock: func() time.Duration { return time.Duration(now.Load()) },
-		Logf:  func(string, ...any) { logged.Add(1) },
+		TTL:    time.Second,
+		Clock:  func() time.Duration { return time.Duration(now.Load()) },
+		Logger: telemetry.NewLogger(telemetry.SinkFunc(func(telemetry.Event) { logged.Add(1) }), telemetry.LevelDebug),
 	}
 	net := NewLocalNetwork(1)
 	node := NewNode(NodeInfo{ID: StringID("n"), Addr: "a"}, net, cfg)

@@ -62,7 +62,7 @@ func TestNarrowRepliesLeavePutProbesUnchanged(t *testing.T) {
 				c.Net.Remove(d.Addr)
 				dead = append(dead, n)
 			}
-			stats, err := pub.PutID(key, []byte("v"))
+			stats, err := pub.PutIDContext(context.Background(), key, []byte("v"))
 			if err != nil {
 				t.Fatalf("wide=%v put %d: %v", wide, i, err)
 			}

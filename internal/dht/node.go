@@ -37,8 +37,8 @@ type Config struct {
 	// Go, Sleep and LookupWait abstract concurrency and blocking so the
 	// same node code runs over real goroutines and over the virtual-time
 	// scheduler in internal/scale, which requires that tasks block only
-	// through its clock. Defaults: go fn(), time.Sleep, and a blocking
-	// select inside the lookup engine.
+	// through its clock. Defaults: go fn(), a timer that Close interrupts,
+	// and a blocking select inside the lookup engine.
 	Go         func(fn func())
 	Sleep      func(d time.Duration)
 	LookupWait func(ctx context.Context, wake <-chan struct{})
@@ -53,13 +53,8 @@ type Config struct {
 	// surface factory errors.
 	NewStorage func(self NodeInfo) (Storage, error)
 
-	// Logf, when set, receives operational log lines (janitor sweep
-	// reclaim counts). nil silences them. Retained as a source-compatible
-	// adapter: Normalize wraps it into Logger when Logger is unset.
-	Logf func(format string, args ...any)
-
-	// Logger receives structured operational events. When nil, Normalize
-	// derives one from Logf (or discards everything if both are unset).
+	// Logger receives structured operational events (janitor sweep reclaim
+	// counts). Nil discards them.
 	Logger *telemetry.Logger
 
 	// Tracer, when set, records this node's side of distributed query
@@ -97,12 +92,6 @@ func (c Config) Normalize() Config {
 	}
 	if c.Go == nil {
 		c.Go = func(fn func()) { go fn() }
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
-	if c.Logger == nil && c.Logf != nil {
-		c.Logger = telemetry.NewLogger(telemetry.LogfSink(c.Logf), telemetry.LevelDebug)
 	}
 	return c
 }
@@ -176,6 +165,12 @@ type Node struct {
 	// replica, with no extra wire traffic.
 	storeObs atomic.Pointer[func(ID)]
 
+	// ctx is the node's lifetime. Work the node does for itself — join,
+	// refresh, republish, handoff, the eviction ping, the maintenance and
+	// janitor loops — runs under it, and Close cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	closeOnce sync.Once
 	closeErr  error
 
@@ -219,6 +214,7 @@ func NewNode(self NodeInfo, transport Transport, cfg Config) *Node {
 		rng:         mrand.New(mrand.NewSource(int64(binary.BigEndian.Uint64(self.ID[:8])))),
 		lastHandoff: make(map[ID]time.Duration),
 	}
+	n.ctx, n.cancel = context.WithCancel(context.Background()) //lint:allow ctxflow the node's lifetime root; Close cancels it
 	if cfg.Tracer != nil {
 		n.tracer.Store(cfg.Tracer)
 	}
@@ -233,12 +229,23 @@ func (n *Node) SetTracer(t *telemetry.Tracer) { n.tracer.Store(t) }
 // Tracer returns the node's tracer, nil when tracing is off.
 func (n *Node) Tracer() *telemetry.Tracer { return n.tracer.Load() }
 
-// Close releases the node's local storage: for a disk-backed store this
-// flushes the write-ahead log, fsyncs and releases the lock file. It is
-// idempotent and returns the first close error. Callers must stop the
-// janitor, the maintenance loops and any transport serving this node first.
+// Context returns the node's lifetime context, done once Close is called.
+// Work that is the root of its own activity on this node — a publish with
+// no caller, a harness phase — runs under it.
+func (n *Node) Context() context.Context { return n.ctx }
+
+// Close ends the node's lifetime and releases its local storage. It first
+// cancels the lifetime context, so the janitor and maintenance loops exit
+// and the node's own join, refresh, republish and handoff work issues no
+// further RPCs; then it closes the store (for a disk-backed store this
+// flushes the write-ahead log, fsyncs and releases the lock file). It is
+// idempotent and returns the first close error. Callers must stop any
+// transport serving this node first.
 func (n *Node) Close() error {
-	n.closeOnce.Do(func() { n.closeErr = n.store.Close() })
+	n.closeOnce.Do(func() {
+		n.cancel()
+		n.closeErr = n.store.Close()
+	})
 	return n.closeErr
 }
 
@@ -290,9 +297,9 @@ func (n *Node) JanitorStats() JanitorStats {
 // sweeps TTL-expired values out of the local store every interval, so
 // long-running deployments actually reclaim dead postings instead of only
 // filtering them lazily on Get. interval <= 0 defaults to one minute. The
-// reclaimed-entry count of every sweep accumulates into JanitorStats and,
-// when Config.Logf is set, nonzero sweeps are logged. The returned stop
-// function is idempotent and terminates the janitor.
+// reclaimed-entry count of every sweep accumulates into JanitorStats and
+// nonzero sweeps are logged to Config.Logger. The janitor runs until the
+// returned stop function (idempotent) is called or the node is closed.
 func (n *Node) StartJanitor(interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = time.Minute
@@ -305,6 +312,8 @@ func (n *Node) StartJanitor(interval time.Duration) (stop func()) {
 		for {
 			select {
 			case <-done:
+				return
+			case <-n.ctx.Done():
 				return
 			case <-t.C:
 				n.janitorSweeps.Add(1)
@@ -344,7 +353,7 @@ func (n *Node) observe(peer NodeInfo) {
 	// Bucket full: ping the least-recently-seen contact and evict it if
 	// dead, per Kademlia. The bucket's replacement cache then promotes the
 	// freshest recently seen contact (usually peer itself) into the slot.
-	if _, err := n.call(*candidate, &Request{Kind: RPCPing, From: n.self}); err != nil {
+	if _, err := n.callCtx(n.ctx, *candidate, &Request{Kind: RPCPing}); err != nil {
 		n.table.Evict(candidate.ID)
 		n.met.evictions.Inc()
 		n.table.Update(peer)
@@ -365,17 +374,15 @@ func (n *Node) SeedContact(peer NodeInfo) bool {
 	return updated
 }
 
-// call issues one RPC and accounts for routing-table maintenance.
-func (n *Node) call(to NodeInfo, req *Request) (*Response, error) {
-	return n.callCtx(context.Background(), to, req)
-}
-
-// callCtx issues one RPC under ctx. When the transport supports contexts
-// the call is canceled/deadlined in flight; otherwise the context is
-// checked at the boundary so a canceled caller at least stops issuing new
-// RPCs. A context-canceled call does not evict the contact: the peer is
-// not known dead, the caller just stopped waiting.
+// callCtx issues one RPC under ctx and accounts for routing-table
+// maintenance. A ctx that is already done issues nothing; one that ends
+// mid-call cancels the round-trip in flight. A context-canceled call does
+// not evict the contact: the peer is not known dead, the caller just
+// stopped waiting.
 func (n *Node) callCtx(ctx context.Context, to NodeInfo, req *Request) (*Response, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("dht: call %s: %w", to.Addr, err)
+	}
 	req.From = n.self
 	// Trace: stamp the outbound envelope with a fresh span so the remote
 	// handler's span parents under it. StartSpan is a no-op returning a
@@ -387,17 +394,7 @@ func (n *Node) callCtx(ctx context.Context, to NodeInfo, req *Request) (*Respons
 		req.TraceID, req.SpanID = sp.Trace(), sp.ID()
 	}
 	n.met.rpcOut[req.Kind&rpcKindMask].Inc()
-	var resp *Response
-	var err error
-	if ct, ok := n.transport.(ContextTransport); ok {
-		resp, err = ct.CallContext(ctx, to, req)
-	} else {
-		if err := ctx.Err(); err != nil {
-			sp.FinishErr(err)
-			return nil, fmt.Errorf("dht: call %s: %w", to.Addr, err)
-		}
-		resp, err = n.transport.Call(to, req)
-	}
+	resp, err := n.transport.CallContext(ctx, to, req)
 	if err != nil {
 		n.met.rpcOutFail.Inc()
 		sp.FinishErr(err)
@@ -504,21 +501,14 @@ func (n *Node) handleRPC(req *Request) *Response {
 	}
 }
 
-// Bootstrap joins the network through seed: it inserts seed into the table
-// and performs a lookup of the node's own ID to populate nearby buckets.
-func (n *Node) Bootstrap(seed NodeInfo) error {
-	if seed.ID == n.self.ID {
-		return nil // first node in the network
-	}
-	return n.JoinNetwork([]NodeInfo{seed})
-}
-
 // JoinNetwork joins through any reachable seed: each is pinged (a seed
 // given by address alone identifies itself in the reply), then an
 // iterative lookup of the node's own ID populates the buckets nearest to
 // it — the contacts that matter most for the keys it will be asked to
-// hold. With no foreign seed at all the node is the first in the network
-// and joins trivially; with seeds that are all unreachable the join fails.
+// hold. With no foreign seed at all (seeds empty, or only the node itself)
+// the node is the first in the network and joins trivially; with seeds
+// that are all unreachable the join fails. The join runs under the node's
+// lifetime context.
 func (n *Node) JoinNetwork(seeds []NodeInfo) error {
 	var lastErr error
 	foreign, joined := 0, 0
@@ -527,7 +517,7 @@ func (n *Node) JoinNetwork(seeds []NodeInfo) error {
 			continue
 		}
 		foreign++
-		resp, err := n.call(s, &Request{Kind: RPCPing})
+		resp, err := n.callCtx(n.ctx, s, &Request{Kind: RPCPing})
 		if err != nil {
 			lastErr = err
 			continue
@@ -541,21 +531,15 @@ func (n *Node) JoinNetwork(seeds []NodeInfo) error {
 	if joined == 0 {
 		return fmt.Errorf("dht: join: no seed reachable: %w", lastErr)
 	}
-	if _, _, err := n.Lookup(n.self.ID); err != nil {
+	if _, _, err := n.LookupContext(n.ctx, n.self.ID); err != nil {
 		return fmt.Errorf("dht: join self-lookup: %w", err)
 	}
 	return nil
 }
 
-// Lookup performs an iterative FindNode for target, returning up to K
-// closest live contacts, nearest first.
-func (n *Node) Lookup(target ID) ([]NodeInfo, LookupStats, error) {
-	return n.LookupContext(context.Background(), target)
-}
-
-// LookupContext is Lookup under a context: cancellation or deadline stops
-// the iterative lookup between RPCs (and mid-RPC on context-aware
-// transports), returning the context's error.
+// LookupContext performs an iterative FindNode for target, returning up to
+// K closest live contacts, nearest first. Cancellation or deadline stops
+// the lookup between RPCs and mid-RPC, returning the context's error.
 func (n *Node) LookupContext(ctx context.Context, target ID) ([]NodeInfo, LookupStats, error) {
 	infos, _, stats, err := n.iterate(ctx, target, false, n.info.K)
 	return infos, stats, err
@@ -661,24 +645,14 @@ func (n *Node) iterate(ctx context.Context, target ID, findValue bool, need int)
 	return res.Closest, values, stats, nil
 }
 
-// Put publishes data under the (namespace, key) pair, storing it on the
-// Replicate closest nodes to the key. It returns the traffic cost.
-func (n *Node) Put(namespace, key string, data []byte) (LookupStats, error) {
-	return n.PutID(NamespacedID(namespace, key), data)
-}
-
-// PutContext is Put under a context.
+// PutContext publishes data under the (namespace, key) pair, storing it on
+// the Replicate closest nodes to the key. It returns the traffic cost.
 func (n *Node) PutContext(ctx context.Context, namespace, key string, data []byte) (LookupStats, error) {
 	return n.PutIDContext(ctx, NamespacedID(namespace, key), data)
 }
 
-// PutID publishes data under an explicit key identifier.
-func (n *Node) PutID(key ID, data []byte) (LookupStats, error) {
-	return n.PutIDContext(context.Background(), key, data)
-}
-
-// PutIDContext is PutID under a context: the lookup and the per-replica
-// store RPCs are abandoned once ctx is done.
+// PutIDContext publishes data under an explicit key identifier. The lookup
+// and the per-replica store RPCs are abandoned once ctx is done.
 //
 // The lookup converges on the Replicate closest contacts, not all K: a put
 // stores on no more than that, so probing the other K-Replicate only to
@@ -744,24 +718,14 @@ func (n *Node) selfAmongClosest(key ID, closest []NodeInfo) bool {
 	return count < n.info.Replicate
 }
 
-// Get retrieves all values stored under the (namespace, key) pair.
-func (n *Node) Get(namespace, key string) ([]StoredValue, LookupStats, error) {
-	return n.GetID(NamespacedID(namespace, key))
-}
-
-// GetContext is Get under a context.
+// GetContext retrieves all values stored under the (namespace, key) pair.
 func (n *Node) GetContext(ctx context.Context, namespace, key string) ([]StoredValue, LookupStats, error) {
 	return n.GetIDContext(ctx, NamespacedID(namespace, key))
 }
 
-// GetID retrieves all values under an explicit key identifier, merging the
-// value sets found on the replica holders.
-func (n *Node) GetID(key ID) ([]StoredValue, LookupStats, error) {
-	return n.GetIDContext(context.Background(), key)
-}
-
-// GetIDContext is GetID under a context: the iterative value lookup stops
-// with the context's error once ctx is done.
+// GetIDContext retrieves all values under an explicit key identifier,
+// merging the value sets found on the replica holders. The iterative value
+// lookup stops with the context's error once ctx is done.
 func (n *Node) GetIDContext(ctx context.Context, key ID) ([]StoredValue, LookupStats, error) {
 	// Check the local store first: we may be a replica holder.
 	local := n.store.Get(key, n.info.Clock())
@@ -782,12 +746,8 @@ func (n *Node) GetIDContext(ctx context.Context, key ID) ([]StoredValue, LookupS
 	return values, stats, nil
 }
 
-// Owner returns the live node currently responsible for key (the closest).
-func (n *Node) Owner(key ID) (NodeInfo, LookupStats, error) {
-	return n.OwnerContext(context.Background(), key)
-}
-
-// OwnerContext is Owner under a context.
+// OwnerContext returns the live node currently responsible for key (the
+// closest).
 func (n *Node) OwnerContext(ctx context.Context, key ID) (NodeInfo, LookupStats, error) {
 	closest, stats, err := n.LookupContext(ctx, key)
 	if err != nil {
@@ -803,15 +763,10 @@ func (n *Node) OwnerContext(ctx context.Context, key ID) (NodeInfo, LookupStats,
 	return best, stats, nil
 }
 
-// Send routes an application message to the node responsible for key and
-// returns its reply. This is the primitive PIER uses to ship query plans
-// and rehashed tuples between keyword owners.
-func (n *Node) Send(key ID, app string, data []byte) ([]byte, LookupStats, error) {
-	return n.SendContext(context.Background(), key, app, data)
-}
-
-// SendContext is Send under a context: both the owner lookup and the
-// application round-trip abort once ctx is done.
+// SendContext routes an application message to the node responsible for
+// key and returns its reply. This is the primitive PIER uses to ship query
+// plans and rehashed tuples between keyword owners. Both the owner lookup
+// and the application round-trip abort once ctx is done.
 func (n *Node) SendContext(ctx context.Context, key ID, app string, data []byte) ([]byte, LookupStats, error) {
 	owner, stats, err := n.OwnerContext(ctx, key)
 	if err != nil {
@@ -831,12 +786,7 @@ func (n *Node) SendContext(ctx context.Context, key ID, app string, data []byte)
 	return reply, stats, err
 }
 
-// SendTo delivers an application message directly to a known node.
-func (n *Node) SendTo(to NodeInfo, app string, data []byte) ([]byte, LookupStats, error) {
-	return n.SendToContext(context.Background(), to, app, data)
-}
-
-// SendToContext is SendTo under a context.
+// SendToContext delivers an application message directly to a known node.
 func (n *Node) SendToContext(ctx context.Context, to NodeInfo, app string, data []byte) ([]byte, LookupStats, error) {
 	var stats LookupStats
 	req := &Request{Kind: RPCApp, App: app, Data: data}
@@ -928,11 +878,8 @@ func (n *Node) Republish() (int, LookupStats) {
 
 	var stats LookupStats
 	for _, e := range all {
-		s, err := n.PutID(e.key, e.val.Data)
+		s, _ := n.PutIDContext(n.ctx, e.key, e.val.Data)
 		stats.Add(s)
-		if err != nil {
-			continue
-		}
 	}
 	return len(all), stats
 }
@@ -955,9 +902,12 @@ func remainingTTL(v StoredValue, now time.Duration) (rem time.Duration, ok bool)
 // receiver-side StoredAt rebase means one holder per period refreshes the
 // whole replica set. Keys go in ID order and destinations in first-use
 // order, keeping virtual-time replays byte-identical. Returns how many
-// values were pushed.
+// values were pushed; a closed node pushes none.
 func (n *Node) RepublishTick() (int, LookupStats) {
 	var stats LookupStats
+	if n.ctx.Err() != nil {
+		return 0, stats
+	}
 	now := n.info.Clock()
 	due := n.info.RepublishInterval / 2
 
@@ -1004,7 +954,7 @@ func (n *Node) RepublishTick() (int, LookupStats) {
 	for _, addr := range order {
 		b := batches[addr]
 		req := &Request{Kind: RPCProvide, Records: b.recs}
-		resp, err := n.call(b.to, req)
+		resp, err := n.callCtx(n.ctx, b.to, req)
 		stats.Messages++
 		stats.Bytes += req.WireSize()
 		if err != nil {
@@ -1023,16 +973,19 @@ func (n *Node) RepublishTick() (int, LookupStats) {
 // RefreshTick looks up a random target inside each of up to max stale
 // buckets — buckets with no activity for RefreshInterval — repopulating
 // regions of the ID space the node has not touched organically. Returns
-// how many buckets were refreshed.
+// how many buckets were refreshed; a closed node refreshes none.
 func (n *Node) RefreshTick(max int) (int, LookupStats) {
 	if max <= 0 {
 		max = maxRefreshPerTick
 	}
 	var stats LookupStats
+	if n.ctx.Err() != nil {
+		return 0, stats
+	}
 	stale := n.table.StaleBuckets(n.info.RefreshInterval, max)
 	for _, b := range stale {
 		target := n.refreshTarget(b)
-		if _, s, err := n.Lookup(target); err == nil {
+		if _, s, err := n.LookupContext(n.ctx, target); err == nil {
 			stats.Add(s)
 		}
 		n.table.NoteRefreshed(b)
@@ -1058,6 +1011,22 @@ func (n *Node) jitter(d time.Duration) time.Duration {
 	return time.Duration(n.rng.Int63n(int64(d)))
 }
 
+// pause blocks for d — through Config.Sleep when set, else on a timer that
+// Close interrupts — and reports whether the node is still open.
+func (n *Node) pause(d time.Duration) bool {
+	if n.info.Sleep != nil {
+		n.info.Sleep(d)
+	} else {
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-n.ctx.Done():
+		}
+		t.Stop()
+	}
+	return n.ctx.Err() == nil
+}
+
 // StartMaintenance launches the routing and replication maintenance loops:
 // bucket refresh every RefreshInterval and provider-record republish every
 // half RepublishInterval, each with a jittered start so a cluster's nodes
@@ -1066,29 +1035,21 @@ func (n *Node) jitter(d time.Duration) time.Duration {
 // values they are now among the closest holders for (join repair). The
 // loops run through Config.Go/Sleep, so under the virtual-time scheduler
 // they are ordinary clock tasks. The returned stop is idempotent; after it
-// is called each loop exits at its next wakeup.
+// is called each loop exits at its next wakeup. Closing the node also ends
+// them: a default (timer) sleep returns at once, a Config.Sleep one at its
+// next wakeup.
 func (n *Node) StartMaintenance() (stop func()) {
 	if n.maintOn.Swap(true) {
 		return func() {}
 	}
 	var stopped atomic.Bool
-	refreshEvery := n.info.RefreshInterval
-	republishEvery := n.info.RepublishInterval / 2
-
-	n.info.Go(func() {
-		n.info.Sleep(n.jitter(refreshEvery))
-		for !stopped.Load() {
-			n.RefreshTick(maxRefreshPerTick)
-			n.info.Sleep(refreshEvery)
+	every := func(period time.Duration, tick func()) {
+		for d := n.jitter(period); n.pause(d) && !stopped.Load(); d = period {
+			tick()
 		}
-	})
-	n.info.Go(func() {
-		n.info.Sleep(n.jitter(republishEvery))
-		for !stopped.Load() {
-			n.RepublishTick()
-			n.info.Sleep(republishEvery)
-		}
-	})
+	}
+	n.info.Go(func() { every(n.info.RefreshInterval, func() { n.RefreshTick(maxRefreshPerTick) }) })
+	n.info.Go(func() { every(n.info.RepublishInterval/2, func() { n.RepublishTick() }) })
 	return func() {
 		if !stopped.Swap(true) {
 			n.maintOn.Store(false)
@@ -1143,7 +1104,7 @@ func (n *Node) handoffTo(peer NodeInfo) {
 	if len(recs) == 0 {
 		return
 	}
-	if _, err := n.call(peer, &Request{Kind: RPCProvide, Records: recs}); err == nil {
+	if _, err := n.callCtx(n.ctx, peer, &Request{Kind: RPCProvide, Records: recs}); err == nil {
 		n.handoffsSent.Add(1)
 	}
 }

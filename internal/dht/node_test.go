@@ -26,10 +26,10 @@ func TestClusterBootstrapPopulatesTables(t *testing.T) {
 
 func TestPutGetSingleValue(t *testing.T) {
 	c := testCluster(t, 32)
-	if _, err := c.Nodes[3].Put("ns", "hello", []byte("world")); err != nil {
+	if _, err := c.Nodes[3].PutContext(context.Background(), "ns", "hello", []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	values, _, err := c.Nodes[20].Get("ns", "hello")
+	values, _, err := c.Nodes[20].GetContext(context.Background(), "ns", "hello")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestPutGetSingleValue(t *testing.T) {
 
 func TestGetMissingKeyReturnsEmpty(t *testing.T) {
 	c := testCluster(t, 16)
-	values, _, err := c.Nodes[0].Get("ns", "absent")
+	values, _, err := c.Nodes[0].GetContext(context.Background(), "ns", "absent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestMultiValueAccumulation(t *testing.T) {
 	const publishers = 10
 	for i := 0; i < publishers; i++ {
 		data := []byte(fmt.Sprintf("file-%d", i))
-		if _, err := c.Nodes[i].Put("Inverted", "madonna", data); err != nil {
+		if _, err := c.Nodes[i].PutContext(context.Background(), "Inverted", "madonna", data); err != nil {
 			t.Fatal(err)
 		}
 	}
-	values, _, err := c.Nodes[30].Get("Inverted", "madonna")
+	values, _, err := c.Nodes[30].GetContext(context.Background(), "Inverted", "madonna")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestMultiValueAccumulation(t *testing.T) {
 func TestRepublishSamePayloadDoesNotDuplicate(t *testing.T) {
 	c := testCluster(t, 24)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Nodes[1].Put("ns", "k", []byte("v")); err != nil {
+		if _, err := c.Nodes[1].PutContext(context.Background(), "ns", "k", []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	values, _, err := c.Nodes[9].Get("ns", "k")
+	values, _, err := c.Nodes[9].GetContext(context.Background(), "ns", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLookupFindsGlobalClosest(t *testing.T) {
 			best = n.Info()
 		}
 	}
-	got, stats, err := c.Nodes[5].Lookup(target)
+	got, stats, err := c.Nodes[5].LookupContext(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	c := testCluster(t, 128)
 	maxHops := 0
 	for i := 0; i < 20; i++ {
-		_, stats, err := c.RandomNode().Lookup(StringID(fmt.Sprintf("key-%d", i)))
+		_, stats, err := c.RandomNode().LookupContext(context.Background(), StringID(fmt.Sprintf("key-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 func TestOwnerIsClosestLiveNode(t *testing.T) {
 	c := testCluster(t, 32)
 	key := StringID("ownership")
-	owner, _, err := c.Nodes[7].Owner(key)
+	owner, _, err := c.Nodes[7].OwnerContext(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,12 +158,12 @@ func TestAppMessageRouting(t *testing.T) {
 		n.RegisterApp("echo", func(from NodeInfo, data []byte) []byte {
 			return append([]byte("reply:"), data...)
 		})
-		owner, _, _ := c.Nodes[0].Owner(key)
+		owner, _, _ := c.Nodes[0].OwnerContext(context.Background(), key)
 		if n.Info().ID == owner.ID {
 			ownerIdx = i
 		}
 	}
-	reply, _, err := c.Nodes[1].Send(key, "echo", []byte("ping"))
+	reply, _, err := c.Nodes[1].SendContext(context.Background(), key, "echo", []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAppMessageRouting(t *testing.T) {
 
 func TestSendToUnknownHandlerFails(t *testing.T) {
 	c := testCluster(t, 8)
-	_, _, err := c.Nodes[0].SendTo(c.Nodes[1].Info(), "nope", nil)
+	_, _, err := c.Nodes[0].SendToContext(context.Background(), c.Nodes[1].Info(), "nope", nil)
 	if err == nil {
 		t.Error("Send to unregistered handler succeeded")
 	}
@@ -187,11 +187,11 @@ func TestValueSurvivesReplicaFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := NamespacedID("ns", "durable")
-	if _, err := c.Nodes[0].PutID(key, []byte("v")); err != nil {
+	if _, err := c.Nodes[0].PutIDContext(context.Background(), key, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// Kill the single closest holder.
-	closest, _, err := c.Nodes[0].Lookup(key)
+	closest, _, err := c.Nodes[0].LookupContext(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestValueSurvivesReplicaFailure(t *testing.T) {
 			break
 		}
 	}
-	values, _, err := c.Nodes[1].GetID(key)
+	values, _, err := c.Nodes[1].GetIDContext(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,14 +212,14 @@ func TestValueSurvivesReplicaFailure(t *testing.T) {
 
 func TestChurnJoinServesExistingKeys(t *testing.T) {
 	c := testCluster(t, 24)
-	if _, err := c.Nodes[0].Put("ns", "k", []byte("v")); err != nil {
+	if _, err := c.Nodes[0].PutContext(context.Background(), "ns", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	n, err := c.AddNode(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	values, _, err := n.Get("ns", "k")
+	values, _, err := n.GetContext(context.Background(), "ns", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +234,12 @@ func TestRepublishRestoresReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := c.Nodes[0]
-	if _, err := pub.Put("ns", "k", []byte("v")); err != nil {
+	if _, err := pub.PutContext(context.Background(), "ns", "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	// Remove two of the closest holders, then republish from the origin.
 	key := NamespacedID("ns", "k")
-	closest, _, _ := pub.Lookup(key)
+	closest, _, _ := pub.LookupContext(context.Background(), key)
 	removed := 0
 	for _, holder := range closest[:2] {
 		for i, n := range c.Nodes {
@@ -257,7 +257,7 @@ func TestRepublishRestoresReplication(t *testing.T) {
 	if count == 0 {
 		t.Fatal("Republish found nothing to republish")
 	}
-	values, _, err := c.Nodes[len(c.Nodes)-1].GetID(key)
+	values, _, err := c.Nodes[len(c.Nodes)-1].GetIDContext(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,10 +272,10 @@ func TestFailureInjectionLookupStillConverges(t *testing.T) {
 	ok := 0
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("k-%d", i)
-		if _, err := c.Nodes[i%len(c.Nodes)].Put("ns", key, []byte("v")); err != nil {
+		if _, err := c.Nodes[i%len(c.Nodes)].PutContext(context.Background(), "ns", key, []byte("v")); err != nil {
 			continue
 		}
-		values, _, err := c.Nodes[(i+31)%len(c.Nodes)].Get("ns", key)
+		values, _, err := c.Nodes[(i+31)%len(c.Nodes)].GetContext(context.Background(), "ns", key)
 		if err == nil && len(values) > 0 {
 			ok++
 		}
@@ -288,7 +288,7 @@ func TestFailureInjectionLookupStillConverges(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	c := testCluster(t, 16)
 	before := c.Net.Stats()
-	if _, err := c.Nodes[0].Put("ns", "k", []byte("some payload bytes")); err != nil {
+	if _, err := c.Nodes[0].PutContext(context.Background(), "ns", "k", []byte("some payload bytes")); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Net.Stats().Sub(before)
@@ -357,7 +357,7 @@ func TestPutRoutesAroundDeadNearestContact(t *testing.T) {
 		deadNode, _ := c.Net.Lookup(dead.Addr)
 		c.Net.Remove(dead.Addr)
 
-		stats, err := pub.PutID(key, []byte("v"))
+		stats, err := pub.PutIDContext(context.Background(), key, []byte("v"))
 		if err != nil {
 			t.Fatalf("trial %d: put: %v", trial, err)
 		}
@@ -379,7 +379,7 @@ func TestPutRoutesAroundDeadNearestContact(t *testing.T) {
 		if reader == pub || reader == deadNode {
 			reader = c.Nodes[0]
 		}
-		values, _, err := reader.GetID(key)
+		values, _, err := reader.GetIDContext(context.Background(), key)
 		if err != nil || len(values) != 1 || string(values[0].Data) != "v" {
 			t.Fatalf("trial %d: GetID from %s = %v, %v", trial, reader.Info().Addr, values, err)
 		}
@@ -412,12 +412,12 @@ func TestPutFallsBackToUnprobedTail(t *testing.T) {
 	info := NodeInfo{ID: SeededID(c.rng), Addr: "publisher"}
 	pub := NewNode(info, storeRefuser{c.Net, truth[1].Addr}, Config{})
 	c.Net.Join(pub)
-	if err := pub.Bootstrap(c.Nodes[0].Info()); err != nil {
+	if err := pub.JoinNetwork([]NodeInfo{c.Nodes[0].Info()}); err != nil {
 		t.Fatal(err)
 	}
 	replicate := pub.Config().Replicate
 
-	stats, err := pub.PutID(key, []byte("v"))
+	stats, err := pub.PutIDContext(context.Background(), key, []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestPutFallsBackToUnprobedTail(t *testing.T) {
 			t.Errorf("replica set %v misses %s", got, w.Addr)
 		}
 	}
-	values, _, err := c.Nodes[20].GetID(key)
+	values, _, err := c.Nodes[20].GetIDContext(context.Background(), key)
 	if err != nil || len(values) != 1 {
 		t.Fatalf("GetID = %v, %v", values, err)
 	}
@@ -455,7 +455,7 @@ func BenchmarkLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, stats, err := c.Nodes[i%len(c.Nodes)].Lookup(StringID(fmt.Sprintf("key-%d", i)))
+		_, stats, err := c.Nodes[i%len(c.Nodes)].LookupContext(context.Background(), StringID(fmt.Sprintf("key-%d", i)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -473,7 +473,7 @@ func BenchmarkPut(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, err := c.Nodes[i%len(c.Nodes)].Put("bench", fmt.Sprintf("key-%d", i), []byte("value"))
+		stats, err := c.Nodes[i%len(c.Nodes)].PutContext(context.Background(), "bench", fmt.Sprintf("key-%d", i), []byte("value"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func BenchmarkGet(b *testing.B) {
 	}
 	const keys = 256
 	for i := 0; i < keys; i++ {
-		if _, err := c.Nodes[i%len(c.Nodes)].Put("bench", fmt.Sprintf("key-%d", i), []byte("value")); err != nil {
+		if _, err := c.Nodes[i%len(c.Nodes)].PutContext(context.Background(), "bench", fmt.Sprintf("key-%d", i), []byte("value")); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -497,7 +497,7 @@ func BenchmarkGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		values, stats, err := c.Nodes[(i+13)%len(c.Nodes)].Get("bench", fmt.Sprintf("key-%d", i%keys))
+		values, stats, err := c.Nodes[(i+13)%len(c.Nodes)].GetContext(context.Background(), "bench", fmt.Sprintf("key-%d", i%keys))
 		if err != nil || len(values) != 1 {
 			b.Fatalf("get: %d values, err %v", len(values), err)
 		}

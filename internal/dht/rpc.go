@@ -138,18 +138,10 @@ func (r *Response) WireSize() int {
 // Transport delivers RPCs to remote nodes. Implementations: LocalNetwork
 // (in-process, simulated accounting) and the TCP transport in package wire.
 type Transport interface {
-	// Call delivers req to the node at to and returns its response.
+	// CallContext delivers req to the node at to and returns its response.
 	// A nil response with a non-nil error means the node is unreachable.
-	Call(to NodeInfo, req *Request) (*Response, error)
-}
-
-// ContextTransport is implemented by transports whose calls can be
-// canceled or deadlined. Node routes every RPC through CallContext when
-// the transport supports it, so a context canceled at the query layer
-// aborts the in-flight dial or round-trip instead of waiting it out.
-// Implementations must return an error wrapping ctx.Err() once the
-// context is done.
-type ContextTransport interface {
-	Transport
+	// A context canceled at the query layer aborts the in-flight dial or
+	// round-trip instead of waiting it out: once ctx is done the returned
+	// error wraps ctx.Err().
 	CallContext(ctx context.Context, to NodeInfo, req *Request) (*Response, error)
 }

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -85,7 +86,7 @@ func TestRepublishVisitsKeysInIDOrder(t *testing.T) {
 	// Every key must now be resolvable from another node (the re-store
 	// actually happened for all of them, whatever the order).
 	for _, k := range keys {
-		vals, _, err := c.Nodes[5].GetID(k)
+		vals, _, err := c.Nodes[5].GetIDContext(context.Background(), k)
 		if err != nil || len(vals) == 0 {
 			t.Fatalf("key %x unresolvable after republish: %v", k[:4], err)
 		}

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -159,15 +160,15 @@ func TestNodeTTLEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Nodes[0].Put("ns", "ephemeral", []byte("v")); err != nil {
+	if _, err := c.Nodes[0].PutContext(context.Background(), "ns", "ephemeral", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	values, _, err := c.Nodes[5].Get("ns", "ephemeral")
+	values, _, err := c.Nodes[5].GetContext(context.Background(), "ns", "ephemeral")
 	if err != nil || len(values) != 1 {
 		t.Fatalf("before expiry: %v %v", values, err)
 	}
 	now = time.Minute
-	values, _, err = c.Nodes[5].Get("ns", "ephemeral")
+	values, _, err = c.Nodes[5].GetContext(context.Background(), "ns", "ephemeral")
 	if err != nil {
 		t.Fatal(err)
 	}

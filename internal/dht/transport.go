@@ -105,12 +105,7 @@ func (ln *LocalNetwork) Stats() TrafficStats {
 	return out
 }
 
-// Call implements Transport.
-func (ln *LocalNetwork) Call(to NodeInfo, req *Request) (*Response, error) {
-	return ln.CallContext(context.Background(), to, req)
-}
-
-// CallContext implements ContextTransport. Delivery is synchronous, so the
+// CallContext implements Transport. Delivery is synchronous, so the
 // context is consulted at the call boundary: a canceled or expired context
 // fails the RPC before the destination handler runs.
 func (ln *LocalNetwork) CallContext(ctx context.Context, to NodeInfo, req *Request) (*Response, error) {

@@ -56,7 +56,7 @@ func PostingListShipping(env *StudyEnv, clusterSize, sampleInstances int) (Posti
 			fileID := []byte(fmt.Sprintf("%d/%d", rank, copyIdx))
 			e := engines[published%clusterSize]
 			for _, term := range f.Terms {
-				if _, err := e.Publish(piersearch.TableInverted,
+				if _, err := e.PublishContext(e.Node().Context(), piersearch.TableInverted,
 					pier.Tuple{pier.String(term), pier.Bytes(fileID)}); err != nil {
 					return res, err
 				}
@@ -73,7 +73,7 @@ func PostingListShipping(env *StudyEnv, clusterSize, sampleInstances int) (Posti
 			keys[i] = pier.String(t)
 		}
 		e := engines[res.Queries%clusterSize]
-		values, stats, err := e.ChainJoin(piersearch.TableInverted, keys, "fileID", 0)
+		values, stats, err := e.ChainJoinContext(e.Node().Context(), piersearch.TableInverted, keys, "fileID", 0)
 		if err != nil {
 			return res, err
 		}
@@ -276,9 +276,10 @@ func RunDeployment(cfg DeployConfig) (*DeployResult, error) {
 	var pierBytes uint64
 	var matchBytes int
 	for _, q := range tr.Queries[cfg.WarmupQueries:] {
-		h := hybrids[rng.Intn(len(hybrids))]
+		i := rng.Intn(len(hybrids))
+		h := hybrids[i]
 		before := cluster.Net.Stats()
-		out, err := h.Query(q.Text, q.Terms)
+		out, err := h.QueryContext(cluster.Nodes[i].Context(), q.Text, q.Terms)
 		if err != nil {
 			return nil, err
 		}

@@ -178,15 +178,10 @@ func (u *Ultrapeer) PublishLocal(host gnutella.HostID) error {
 	return nil
 }
 
-// Query runs the hybrid search path for a leaf query entering at this
-// ultrapeer: flood Gnutella, wait up to GnutellaTimeout (in overlay
+// QueryContext runs the hybrid search path for a leaf query entering at
+// this ultrapeer: flood Gnutella, wait up to GnutellaTimeout (in overlay
 // virtual time), and reissue through PIERSearch on timeout. The Gnutella
-// simulation clock advances as a side effect.
-func (u *Ultrapeer) Query(text string, terms []string) (Outcome, error) {
-	return u.QueryContext(context.Background(), text, terms)
-}
-
-// QueryContext is Query under a context: cancellation aborts the
+// simulation clock advances as a side effect. Cancellation aborts the
 // PIERSearch reissue mid-flight (the Gnutella flooding phase runs in
 // overlay virtual time and completes regardless).
 func (u *Ultrapeer) QueryContext(ctx context.Context, text string, terms []string) (Outcome, error) {

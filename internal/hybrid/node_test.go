@@ -1,6 +1,7 @@
 package hybrid
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func TestHybridQueryAnsweredByGnutellaWhenPopular(t *testing.T) {
 	for _, v := range env.topo.UPAdj[0] {
 		env.lib.AddFile(v, gnutella.SharedFile{Name: "everywhere anthem.mp3", Size: 1})
 	}
-	out, err := env.hybrids[0].Query("everywhere anthem", []string{"everywhere", "anthem"})
+	out, err := env.hybrids[0].QueryContext(context.Background(), "everywhere anthem", []string{"everywhere", "anthem"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestHybridQueryFallsBackToPIER(t *testing.T) {
 	).PublishFile(rare); err != nil {
 		t.Fatal(err)
 	}
-	out, err := env.hybrids[0].Query("hidden rarity", []string{"hidden", "rarity"})
+	out, err := env.hybrids[0].QueryContext(context.Background(), "hidden rarity", []string{"hidden", "rarity"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func pierEngineOf(t testing.TB, env *deployEnv, i int) *pier.Engine {
 
 func TestHybridQueryNoResultsAnywhere(t *testing.T) {
 	env := newDeployEnv(t, 150, 600, 3, UltrapeerConfig{})
-	out, err := env.hybrids[0].Query("absent entirely", []string{"absent", "entirely"})
+	out, err := env.hybrids[0].QueryContext(context.Background(), "absent entirely", []string{"absent", "entirely"})
 	if err != nil {
 		t.Fatal(err)
 	}

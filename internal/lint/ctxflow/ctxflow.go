@@ -9,10 +9,10 @@ import (
 )
 
 // Analyzer bans context.Background and context.TODO inside internal/
-// packages, except in legacy-wrapper shims.
+// packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "context.Background()/context.TODO() sever the cancellation graph; internal/ code must thread the caller's ctx (legacy single-statement wrappers delegating to a *Context/*Ctx variant are exempt)",
+	Doc:  "context.Background()/context.TODO() sever the cancellation graph; internal/ code must thread the caller's ctx",
 	Run:  run,
 }
 
@@ -40,7 +40,6 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	wrapper := isLegacyWrapper(fd)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -53,44 +52,9 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if callee.Name != "Background" && callee.Name != "TODO" {
 			return true
 		}
-		if wrapper {
-			return true
-		}
 		pass.Reportf(call.Pos(),
 			"context.%s() severs cancellation inside %s; thread the caller's ctx, or suppress a documented root with //lint:allow ctxflow <reason>",
 			callee.Name, fd.Name.Name)
 		return true
 	})
-}
-
-// isLegacyWrapper reports whether fd is a documented compatibility
-// shim: a function whose body is exactly one statement delegating to
-// a function or method whose name ends in "Context" or "Ctx" — the
-// pre-PR-3 API surface kept alive for callers that predate ctx
-// threading.
-func isLegacyWrapper(fd *ast.FuncDecl) bool {
-	if len(fd.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch s := fd.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(s.Results) != 1 {
-			return false
-		}
-		call, _ = ast.Unparen(s.Results[0]).(*ast.CallExpr)
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(s.X).(*ast.CallExpr)
-	}
-	if call == nil {
-		return false
-	}
-	name := ""
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
-	return strings.HasSuffix(name, "Context") || strings.HasSuffix(name, "Ctx")
 }

@@ -12,23 +12,19 @@
 // # What it reports
 //
 // Any call to context.Background or context.TODO in a package whose
-// import path contains an "internal" element, except:
-//
-//   - legacy-wrapper shims: a function whose entire body is a single
-//     statement delegating to a function or method whose name ends in
-//     "Context" or "Ctx". These are the documented pre-PR-3
-//     compatibility surface (Engine.Publish → Engine.PublishContext,
-//     Node.Lookup → Node.LookupContext, transport Call →
-//     CallContext); the Background there is the shim's entire point.
-//   - test-harness packages whose package name ends in "test"
-//     (dhttest, linttest): they drive APIs from scratch and mint root
-//     contexts by design.
+// import path contains an "internal" element, except in test-harness
+// packages whose package name ends in "test" (dhttest, linttest): they
+// drive APIs from scratch and mint root contexts by design. A ctx-less
+// wrapper that delegates to its *Context twin is reported like any
+// other call: the API has one generation, and every network operation
+// takes its caller's ctx.
 //
 // # Suppressing
 //
 // A genuine root — a place where no caller context can exist, such as
-// a connection-lifetime context in the daemon's accept path or a
-// background maintenance loop — is annotated in place:
+// a connection-lifetime context in the daemon's accept path or a DHT
+// node's lifetime context, which its maintenance work runs under — is
+// annotated in place:
 //
 //	ctx, cancel := context.WithCancel(context.Background()) //lint:allow ctxflow stream outlives the accept ctx; watcher cancels on conn death
 //

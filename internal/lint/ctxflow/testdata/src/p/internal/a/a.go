@@ -8,15 +8,15 @@ func (e *Engine) PublishContext(ctx context.Context, s string) error { return ni
 
 func (e *Engine) forEachCtx(ctx context.Context, n int) {}
 
-// Publish is a legacy wrapper: single-statement delegation to the
-// *Context variant is the documented shim shape and is exempt.
+// Publish is a ctx-less wrapper: single-statement delegation to the
+// *Context variant still severs cancellation, so it is flagged.
 func (e *Engine) Publish(s string) error {
-	return e.PublishContext(context.Background(), s)
+	return e.PublishContext(context.Background(), s) // want `context.Background\(\) severs cancellation`
 }
 
-// ForEach delegates to a *Ctx-suffixed helper; also exempt.
+// ForEach delegates to a *Ctx-suffixed helper; flagged the same way.
 func (e *Engine) ForEach(n int) {
-	e.forEachCtx(context.Background(), n)
+	e.forEachCtx(context.Background(), n) // want `context.Background\(\) severs cancellation`
 }
 
 // Leak mints a root context mid-pipeline: flagged.
@@ -25,15 +25,14 @@ func (e *Engine) Leak(s string) error {
 	return e.PublishContext(ctx, s)
 }
 
-// TodoLeak uses TODO outside the wrapper shape (two statements):
-// flagged.
+// TodoLeak uses TODO: flagged.
 func (e *Engine) TodoLeak(s string) error {
 	ctx := context.TODO() // want `context.TODO\(\) severs cancellation`
 	return e.PublishContext(ctx, s)
 }
 
-// NotAWrapper has more than one statement, so its Background is not
-// shim-shaped even though it delegates to a *Context method.
+// NotAWrapper has more than one statement and delegates to a *Context
+// method: flagged.
 func (e *Engine) NotAWrapper(s string) error {
 	if s == "" {
 		return nil

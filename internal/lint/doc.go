@@ -17,9 +17,9 @@
 // ctxflow (origin: PR 3, context threading). context.Background() and
 // context.TODO() are banned inside internal/ packages: a fresh root
 // context detaches the call from cancellation, deadlines, and the
-// telemetry span carried by the caller's ctx. The only exemption is a
-// documented legacy-wrapper shim — a single-statement function that
-// delegates to its *Context/*Ctx-suffixed successor.
+// telemetry span carried by the caller's ctx. There is no wrapper
+// exemption: a genuine root (a node's lifetime, a connection's) carries
+// a reasoned allow directive.
 //
 // determinism (origin: PR 6, virtual-time scale harness). The replay
 // harness promises bit-identical runs for a given seed, so

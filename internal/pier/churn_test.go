@@ -1,6 +1,7 @@
 package pier
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -14,7 +15,7 @@ func TestChainJoinAfterOwnerChurn(t *testing.T) {
 
 	// Kill the primary owner of one keyword's posting list.
 	key := keyID("Inverted", String("alpha"))
-	owner, _, err := env.engines[0].Node().Owner(key)
+	owner, _, err := env.engines[0].Node().OwnerContext(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestChainJoinAfterOwnerChurn(t *testing.T) {
 	}
 
 	// Replicas on the remaining closest nodes still answer the join.
-	got, _, err := env.engines[5].ChainJoin("Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
+	got, _, err := env.engines[5].ChainJoinContext(context.Background(), "Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
 	if err != nil {
 		t.Fatalf("join after owner churn: %v", err)
 	}
@@ -48,7 +49,7 @@ func TestQueriesSurviveHeavyChurn(t *testing.T) {
 		env.cluster.RemoveNode(idx)
 		env.engines = env.engines[:idx]
 	}
-	got, _, err := env.engines[0].ChainJoin("Inverted", []Value{String("churn"), String("survivor")}, "fileID", 0)
+	got, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", []Value{String("churn"), String("survivor")}, "fileID", 0)
 	if err != nil {
 		t.Fatalf("join under churn: %v", err)
 	}
@@ -57,7 +58,7 @@ func TestQueriesSurviveHeavyChurn(t *testing.T) {
 		t.Errorf("only %d/12 results survived 33%% churn", len(got))
 	}
 	// CacheSelect still works too.
-	tuples, _, err := env.engines[1].CacheSelect("InvertedCache", String("churn"), []string{"survivor"}, "fulltext", 0)
+	tuples, _, err := env.engines[1].CacheSelectContext(context.Background(), "InvertedCache", String("churn"), []string{"survivor"}, "fulltext", 0)
 	if err != nil {
 		t.Fatalf("cache select under churn: %v", err)
 	}
@@ -77,7 +78,7 @@ func TestChainJoinConcurrentQueries(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			got, _, err := env.engines[w%len(env.engines)].ChainJoin("Inverted",
+			got, _, err := env.engines[w%len(env.engines)].ChainJoinContext(context.Background(), "Inverted",
 				[]Value{String("parallel"), String(fmt.Sprintf("item%02d", w%8))}, "fileID", 0)
 			if err == nil && len(got) != 1 {
 				err = fmt.Errorf("worker %d: %d results", w, len(got))
@@ -97,7 +98,7 @@ func TestRepublishAfterChurnRestoresJoin(t *testing.T) {
 	env.publishFile(t, 2, "restored gem")
 	// Remove the two closest holders of the "restored" posting list.
 	key := keyID("Inverted", String("restored"))
-	closest, _, err := env.engines[0].Node().Lookup(key)
+	closest, _, err := env.engines[0].Node().LookupContext(context.Background(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestRepublishAfterChurnRestoresJoin(t *testing.T) {
 	if n, _ := pub.Node().Republish(); n == 0 {
 		t.Log("nothing held locally to republish; relying on surviving replicas")
 	}
-	got, _, err := env.engines[0].ChainJoin("Inverted", []Value{String("restored"), String("gem")}, "fileID", 0)
+	got, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", []Value{String("restored"), String("gem")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

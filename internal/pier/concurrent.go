@@ -44,32 +44,21 @@ func (g *gauge) high() int {
 	return g.max
 }
 
-// ForEach runs fn(i) for every i in [0, n) with at most workers calls in
-// flight and returns the observed concurrency high-water mark. workers <= 1
-// degenerates to a plain sequential loop. It is the bounded pool every
-// concurrent engine path (and piersearch's fetch fan-out) runs on.
-func ForEach(n, workers int, fn func(i int)) int {
-	var g gauge
-	forEach(n, workers, &g, fn)
-	return g.high()
-}
-
-// ForEachCtx is ForEach under a context: once ctx is done no further
-// indexes are dispatched (calls already running finish — fn is expected to
-// observe the same ctx and return promptly). It always waits for every
-// dispatched call, so no worker goroutine outlives the return.
+// ForEachCtx runs fn(i) for every i in [0, n) with at most workers calls
+// in flight and returns the observed concurrency high-water mark. workers
+// <= 1 degenerates to a plain sequential loop. It is the bounded pool every
+// concurrent engine path (and piersearch's fetch fan-out) runs on. Once ctx
+// is done no further indexes are dispatched (calls already running finish
+// — fn is expected to observe the same ctx and return promptly). It always
+// waits for every dispatched call, so no worker goroutine outlives the
+// return.
 func ForEachCtx(ctx context.Context, n, workers int, fn func(i int)) int {
 	var g gauge
 	forEachCtx(ctx, n, workers, &g, fn)
 	return g.high()
 }
 
-// forEach is ForEach with a caller-supplied gauge.
-func forEach(n, workers int, g *gauge, fn func(i int)) {
-	forEachCtx(context.Background(), n, workers, g, fn)
-}
-
-// forEachCtx is the shared bounded-pool core.
+// forEachCtx is ForEachCtx with a caller-supplied gauge.
 func forEachCtx(ctx context.Context, n, workers int, g *gauge, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -132,20 +121,14 @@ type BatchResult struct {
 	Published   int // entries stored successfully
 }
 
-// PublishBatch publishes every entry with up to workers DHT puts in flight
-// (workers <= 0 means the engine's configured default) and returns the
-// aggregate traffic cost. All entries are attempted even when some fail;
-// the error for the earliest failing entry is returned. This is the hot
-// path of file publishing: one file expands into an Item tuple plus a
+// PublishBatchContext publishes every entry with up to workers DHT puts in
+// flight (workers <= 0 means the engine's configured default) and returns
+// the aggregate traffic cost. All entries are attempted even when some
+// fail; the error for the earliest failing entry is returned. This is the
+// hot path of file publishing: one file expands into an Item tuple plus a
 // posting tuple per keyword, all independent, so fanning them out hides
-// the per-put routing latency.
-func (e *Engine) PublishBatch(pubs []Pub, workers int) (BatchResult, error) {
-	return e.PublishBatchContext(context.Background(), pubs, workers)
-}
-
-// PublishBatchContext is PublishBatch under a context: once ctx is done no
-// further puts are dispatched, in-flight puts abort, and the context's
-// error is returned.
+// the per-put routing latency. Once ctx is done no further puts are
+// dispatched, in-flight puts abort, and the context's error is returned.
 func (e *Engine) PublishBatchContext(ctx context.Context, pubs []Pub, workers int) (BatchResult, error) {
 	if workers <= 0 {
 		workers = e.cfg.Workers
@@ -256,21 +239,16 @@ type keyProbe struct {
 	filter *bloom.Filter
 }
 
-// ChainJoinConcurrent executes the same distributed join as ChainJoin but
-// overlaps the per-keyword posting probes: every key's owner is asked, in
-// parallel, for its posting-list size and a Bloom filter of its fileIDs.
-// The keys are then ordered smallest-first and the intersection of the
-// later keys' filters rides along with the chain plan, so the first step
-// ships only candidate fileIDs that can survive every later join — the
-// pruning §5 needs to keep rare-item queries cheap at Internet scale.
-func (e *Engine) ChainJoinConcurrent(table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
-	return e.ChainJoinConcurrentContext(context.Background(), table, keys, joinCol, limit)
-}
-
-// ChainJoinConcurrentContext is ChainJoinConcurrent under a context:
-// cancellation aborts the parallel probe phase (no further probes are
-// dispatched, in-flight probes abandon their round-trip), the dispatch,
-// and the wait for the chain's result.
+// ChainJoinConcurrentContext executes the same distributed join as
+// ChainJoinContext but overlaps the per-keyword posting probes: every
+// key's owner is asked, in parallel, for its posting-list size and a Bloom
+// filter of its fileIDs. The keys are then ordered smallest-first and the
+// intersection of the later keys' filters rides along with the chain plan,
+// so the first step ships only candidate fileIDs that can survive every
+// later join — the pruning §5 needs to keep rare-item queries cheap at
+// Internet scale. Cancellation aborts the parallel probe phase (no further
+// probes are dispatched, in-flight probes abandon their round-trip), the
+// dispatch, and the wait for the chain's result.
 func (e *Engine) ChainJoinConcurrentContext(ctx context.Context, table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
 	if len(keys) == 0 {
 		return nil, OpStats{}, fmt.Errorf("pier: chain join needs at least one key")

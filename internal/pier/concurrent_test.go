@@ -1,6 +1,7 @@
 package pier
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ func TestPublishBatchStoresEverything(t *testing.T) {
 		kw := fmt.Sprintf("word%d", i)
 		pubs = append(pubs, Pub{"Inverted", Tuple{String(kw), Bytes([]byte("file-1"))}})
 	}
-	res, err := e.PublishBatch(pubs, 0)
+	res, err := e.PublishBatchContext(context.Background(), pubs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestPublishBatchStoresEverything(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		kw := fmt.Sprintf("word%d", i)
-		tuples, _, err := env.engines[3].Fetch("Inverted", String(kw))
+		tuples, _, err := env.engines[3].FetchContext(context.Background(), "Inverted", String(kw))
 		if err != nil {
 			t.Fatalf("fetch %s: %v", kw, err)
 		}
@@ -51,7 +52,7 @@ func TestPublishBatchReportsFirstError(t *testing.T) {
 		{"NoSuchTable", Tuple{String("bad")}},
 		{"Inverted", Tuple{String("alsogood"), Bytes([]byte("f"))}},
 	}
-	res, err := e.PublishBatch(pubs, 4)
+	res, err := e.PublishBatchContext(context.Background(), pubs, 4)
 	if err == nil {
 		t.Fatal("PublishBatch with an unknown table succeeded")
 	}
@@ -59,7 +60,7 @@ func TestPublishBatchReportsFirstError(t *testing.T) {
 		t.Errorf("Published = %d, want 2 (the valid entries)", res.Published)
 	}
 	// The valid entries must still have been attempted.
-	if tuples, _, ferr := e.Fetch("Inverted", String("alsogood")); ferr != nil || len(tuples) != 1 {
+	if tuples, _, ferr := e.FetchContext(context.Background(), "Inverted", String("alsogood")); ferr != nil || len(tuples) != 1 {
 		t.Errorf("entry after the failing one was not published: %v", ferr)
 	}
 }
@@ -81,11 +82,11 @@ func TestChainJoinConcurrentMatchesSequential(t *testing.T) {
 	env := chainEnv(t, Config{OrderBySelectivity: true, Workers: 8})
 	keys := []Value{String("common"), String("artist"), String("rareterm")}
 
-	seq, _, err := env.engines[5].ChainJoin("Inverted", keys, "fileID", 0)
+	seq, _, err := env.engines[5].ChainJoinContext(context.Background(), "Inverted", keys, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, stats, err := env.engines[5].ChainJoinConcurrent("Inverted", keys, "fileID", 0)
+	conc, stats, err := env.engines[5].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +108,11 @@ func TestChainJoinConcurrentPrunesShipping(t *testing.T) {
 	env := chainEnv(t, Config{OrderBySelectivity: false, Workers: 8})
 	keys := []Value{String("common"), String("rareterm")}
 
-	_, seqStats, err := env.engines[3].ChainJoin("Inverted", keys, "fileID", 0)
+	_, seqStats, err := env.engines[3].ChainJoinContext(context.Background(), "Inverted", keys, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, concStats, err := env.engines[3].ChainJoinConcurrent("Inverted", keys, "fileID", 0)
+	conc, concStats, err := env.engines[3].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestChainJoinConcurrentPrunesShipping(t *testing.T) {
 
 func TestChainJoinConcurrentSingleKey(t *testing.T) {
 	env := chainEnv(t, Config{Workers: 8})
-	vals, _, err := env.engines[2].ChainJoinConcurrent("Inverted", []Value{String("rareterm")}, "fileID", 0)
+	vals, _, err := env.engines[2].ChainJoinConcurrentContext(context.Background(), "Inverted", []Value{String("rareterm")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +155,11 @@ func TestConcurrentPublishFetch(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				kw := fmt.Sprintf("kw%d", i%4)
 				fileID := []byte(fmt.Sprintf("file-%d-%d", g, i))
-				if _, err := e.Publish("Inverted", Tuple{String(kw), Bytes(fileID)}); err != nil {
+				if _, err := e.PublishContext(context.Background(), "Inverted", Tuple{String(kw), Bytes(fileID)}); err != nil {
 					errs <- err
 					return
 				}
-				if _, _, err := e.Fetch("Inverted", String(kw)); err != nil {
+				if _, _, err := e.FetchContext(context.Background(), "Inverted", String(kw)); err != nil {
 					errs <- err
 					return
 				}
@@ -170,7 +171,7 @@ func TestConcurrentPublishFetch(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	tuples, _, err := env.engines[7].Fetch("Inverted", String("kw0"))
+	tuples, _, err := env.engines[7].FetchContext(context.Background(), "Inverted", String("kw0"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,13 +225,9 @@ func (e *Engine) Schema(table string) (*Schema, bool) {
 	return s, ok
 }
 
-// Publish validates t against the table's schema and stores its wire form
-// in the DHT under the tuple's index key. It returns the traffic cost.
-func (e *Engine) Publish(table string, t Tuple) (dht.LookupStats, error) {
-	return e.PublishContext(context.Background(), table, t)
-}
-
-// PublishContext is Publish under a context.
+// PublishContext validates t against the table's schema and stores its
+// wire form in the DHT under the tuple's index key. It returns the traffic
+// cost.
 func (e *Engine) PublishContext(ctx context.Context, table string, t Tuple) (dht.LookupStats, error) {
 	sch, ok := e.Schema(table)
 	if !ok {
@@ -294,13 +290,8 @@ func (e *Engine) LocalScan(table string, key Value) ([]Tuple, error) {
 	return tuples, nil
 }
 
-// Fetch retrieves the tuples of table stored in the DHT under key.
-func (e *Engine) Fetch(table string, key Value) ([]Tuple, dht.LookupStats, error) {
-	return e.FetchContext(context.Background(), table, key)
-}
-
-// FetchContext is Fetch under a context: the value lookup aborts once ctx
-// is done.
+// FetchContext retrieves the tuples of table stored in the DHT under key.
+// The value lookup aborts once ctx is done.
 func (e *Engine) FetchContext(ctx context.Context, table string, key Value) ([]Tuple, dht.LookupStats, error) {
 	values, stats, err := e.node.GetIDContext(ctx, keyID(table, key))
 	if err != nil {
@@ -310,14 +301,9 @@ func (e *Engine) FetchContext(ctx context.Context, table string, key Value) ([]T
 	return tuples, stats, err
 }
 
-// Count asks the owner of (table, key) for its local posting-list size.
-func (e *Engine) Count(table string, key Value) (int, dht.LookupStats, error) {
-	return e.CountContext(context.Background(), table, key)
-}
-
-// CountContext is Count under a context. With a hot tier installed the
-// probe is cached, coalesced with identical in-flight probes, and
-// fanned out across replicas for hot keys.
+// CountContext asks the owner of (table, key) for its local posting-list
+// size. With a hot tier installed the probe is cached, coalesced with
+// identical in-flight probes, and fanned out across replicas for hot keys.
 func (e *Engine) CountContext(ctx context.Context, table string, key Value) (int, dht.LookupStats, error) {
 	n, st, err := e.countCached(ctx, table, key)
 	return n, dht.LookupStats{Messages: st.Messages, Bytes: st.Bytes, Hops: st.Hops}, err
@@ -335,19 +321,14 @@ func (e *Engine) handleCount(_ dht.NodeInfo, data []byte) []byte {
 	return encodeCountReply(nil, len(tuples))
 }
 
-// ChainJoin executes the paper's Figure 2 plan: an equality lookup of each
-// key in order, joined on joinCol by a chain of symmetric hash joins across
-// the owning nodes, with the surviving joinCol values streamed back to this
-// node. keys are index-key values for table (e.g. keywords for Inverted).
-func (e *Engine) ChainJoin(table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
-	return e.ChainJoinContext(context.Background(), table, keys, joinCol, limit)
-}
-
-// ChainJoinContext is ChainJoin under a context: cancellation or deadline
-// aborts the selectivity probes, the dispatch RPC and the wait for the
-// chain's result, returning an error wrapping ctx.Err(). Work already
-// forwarded to remote owners runs to completion there — its result message
-// is simply dropped at the origin.
+// ChainJoinContext executes the paper's Figure 2 plan: an equality lookup
+// of each key in order, joined on joinCol by a chain of symmetric hash
+// joins across the owning nodes, with the surviving joinCol values streamed
+// back to this node. keys are index-key values for table (e.g. keywords for
+// Inverted). Cancellation or deadline aborts the selectivity probes, the
+// dispatch RPC and the wait for the chain's result, returning an error
+// wrapping ctx.Err(). Work already forwarded to remote owners runs to
+// completion there — its result message is simply dropped at the origin.
 func (e *Engine) ChainJoinContext(ctx context.Context, table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
 	var stats OpStats
 	if len(keys) == 0 {
@@ -548,9 +529,10 @@ func (e *Engine) runChainStep(msg chainMsg) {
 	next.Hops++
 	buf := encodeChainMsg(codec.GetBuf(), &next)
 	// A chain step runs on the serving node, forwarding a message that
-	// arrived off the wire: there is no originating context here, and
-	// origin death ends the query through its own timeout.
-	_, err = e.sendRead(context.Background(), keyID(msg.Table, msg.Keys[next.Step]), appChain, buf, nil) //lint:allow ctxflow remote chain step has no originating ctx; origin timeout bounds the query
+	// arrived off the wire: there is no originating context here, so it
+	// runs under the node's lifetime, and origin death ends the query
+	// through its own timeout.
+	_, err = e.sendRead(e.node.Context(), keyID(msg.Table, msg.Keys[next.Step]), appChain, buf, nil)
 	codec.PutBuf(buf)
 	if err != nil {
 		fail(fmt.Errorf("forward to step %d: %w", next.Step, err))
@@ -563,7 +545,7 @@ func (e *Engine) sendResult(origin dht.NodeInfo, res resultMsg) {
 	if origin.ID == e.node.Info().ID {
 		e.handleResult(origin, buf)
 	} else {
-		e.node.SendTo(origin, appResult, buf) //nolint:errcheck // origin death ends the query via timeout
+		e.node.SendToContext(e.node.Context(), origin, appResult, buf) //nolint:errcheck // origin death ends the query via timeout
 	}
 	codec.PutBuf(buf)
 }
@@ -585,16 +567,11 @@ func (e *Engine) handleResult(_ dht.NodeInfo, data []byte) []byte {
 	return nil
 }
 
-// CacheSelect executes the paper's Figure 3 plan: the whole query is sent
-// to the single owner of key, which scans its local list and filters by
-// substring containment of every filter in textCol. No posting lists are
-// shipped; the reply carries only matching tuples.
-func (e *Engine) CacheSelect(table string, key Value, filters []string, textCol string, limit int) ([]Tuple, OpStats, error) {
-	return e.CacheSelectContext(context.Background(), table, key, filters, textCol, limit)
-}
-
-// CacheSelectContext is CacheSelect under a context: the single round-trip
-// to the key's owner aborts once ctx is done.
+// CacheSelectContext executes the paper's Figure 3 plan: the whole query
+// is sent to the single owner of key, which scans its local list and
+// filters by substring containment of every filter in textCol. No posting
+// lists are shipped; the reply carries only matching tuples. The single
+// round-trip to the key's owner aborts once ctx is done.
 func (e *Engine) CacheSelectContext(ctx context.Context, table string, key Value, filters []string, textCol string, limit int) ([]Tuple, OpStats, error) {
 	var stats OpStats
 	sch, ok := e.Schema(table)

@@ -1,6 +1,7 @@
 package pier
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -74,15 +75,15 @@ func (env *testEnv) publishFile(t *testing.T, from int, filename string) {
 	e := env.engines[from]
 	fileID := []byte(filename)
 	for _, kw := range strings.Fields(strings.ToLower(filename)) {
-		if _, err := e.Publish("Inverted", Tuple{String(kw), Bytes(fileID)}); err != nil {
+		if _, err := e.PublishContext(context.Background(), "Inverted", Tuple{String(kw), Bytes(fileID)}); err != nil {
 			t.Fatalf("publish inverted %q: %v", kw, err)
 		}
-		if _, err := e.Publish("InvertedCache", Tuple{String(kw), Bytes(fileID), String(filename)}); err != nil {
+		if _, err := e.PublishContext(context.Background(), "InvertedCache", Tuple{String(kw), Bytes(fileID), String(filename)}); err != nil {
 			t.Fatalf("publish cache %q: %v", kw, err)
 		}
 	}
 	item := Tuple{Bytes(fileID), String(filename), Int(int64(len(filename)) * 1000), String("10.0.0.1"), Int(6346)}
-	if _, err := e.Publish("Item", item); err != nil {
+	if _, err := e.PublishContext(context.Background(), "Item", item); err != nil {
 		t.Fatalf("publish item: %v", err)
 	}
 }
@@ -98,7 +99,7 @@ func valueSet(vals []Value) map[string]bool {
 func TestPublishAndFetch(t *testing.T) {
 	env := newTestEnv(t, 24, Config{})
 	env.publishFile(t, 0, "madonna like a prayer")
-	tuples, _, err := env.engines[10].Fetch("Item", Bytes([]byte("madonna like a prayer")))
+	tuples, _, err := env.engines[10].FetchContext(context.Background(), "Item", Bytes([]byte("madonna like a prayer")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +110,13 @@ func TestPublishAndFetch(t *testing.T) {
 
 func TestPublishValidates(t *testing.T) {
 	env := newTestEnv(t, 8, Config{})
-	if _, err := env.engines[0].Publish("Inverted", Tuple{String("kw")}); err == nil {
+	if _, err := env.engines[0].PublishContext(context.Background(), "Inverted", Tuple{String("kw")}); err == nil {
 		t.Error("short tuple accepted")
 	}
-	if _, err := env.engines[0].Publish("Inverted", Tuple{Int(1), Bytes(nil)}); err == nil {
+	if _, err := env.engines[0].PublishContext(context.Background(), "Inverted", Tuple{Int(1), Bytes(nil)}); err == nil {
 		t.Error("mistyped tuple accepted")
 	}
-	if _, err := env.engines[0].Publish("NoSuchTable", Tuple{}); err == nil {
+	if _, err := env.engines[0].PublishContext(context.Background(), "NoSuchTable", Tuple{}); err == nil {
 		t.Error("unknown table accepted")
 	}
 }
@@ -126,7 +127,7 @@ func TestChainJoinSingleKeyword(t *testing.T) {
 	env.publishFile(t, 1, "madonna live")
 	env.publishFile(t, 2, "beatles anthology")
 
-	got, stats, err := env.engines[5].ChainJoin("Inverted", []Value{String("madonna")}, "fileID", 0)
+	got, stats, err := env.engines[5].ChainJoinContext(context.Background(), "Inverted", []Value{String("madonna")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestChainJoinTwoKeywords(t *testing.T) {
 	env.publishFile(t, 1, "madonna hits")
 	env.publishFile(t, 2, "prayer chants")
 
-	got, stats, err := env.engines[7].ChainJoin("Inverted", []Value{String("madonna"), String("prayer")}, "fileID", 0)
+	got, stats, err := env.engines[7].ChainJoinContext(context.Background(), "Inverted", []Value{String("madonna"), String("prayer")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestChainJoinThreeKeywords(t *testing.T) {
 	env.publishFile(t, 2, "beta gamma")
 	env.publishFile(t, 3, "alpha gamma")
 
-	got, _, err := env.engines[9].ChainJoin("Inverted", []Value{String("alpha"), String("beta"), String("gamma")}, "fileID", 0)
+	got, _, err := env.engines[9].ChainJoinContext(context.Background(), "Inverted", []Value{String("alpha"), String("beta"), String("gamma")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestChainJoinNoMatches(t *testing.T) {
 	env := newTestEnv(t, 16, Config{})
 	env.publishFile(t, 0, "alpha only")
 	env.publishFile(t, 1, "beta only")
-	got, _, err := env.engines[3].ChainJoin("Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
+	got, _, err := env.engines[3].ChainJoinContext(context.Background(), "Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestChainJoinNoMatches(t *testing.T) {
 func TestChainJoinUnknownKeyword(t *testing.T) {
 	env := newTestEnv(t, 16, Config{})
 	env.publishFile(t, 0, "alpha item")
-	got, _, err := env.engines[3].ChainJoin("Inverted", []Value{String("alpha"), String("zzzz")}, "fileID", 0)
+	got, _, err := env.engines[3].ChainJoinContext(context.Background(), "Inverted", []Value{String("alpha"), String("zzzz")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestChainJoinLimit(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		env.publishFile(t, i%len(env.engines), fmt.Sprintf("common file %d", i))
 	}
-	got, _, err := env.engines[0].ChainJoin("Inverted", []Value{String("common")}, "fileID", 3)
+	got, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", []Value{String("common")}, "fileID", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +217,13 @@ func TestChainJoinLimit(t *testing.T) {
 
 func TestChainJoinErrors(t *testing.T) {
 	env := newTestEnv(t, 8, Config{})
-	if _, _, err := env.engines[0].ChainJoin("Inverted", nil, "fileID", 0); err == nil {
+	if _, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", nil, "fileID", 0); err == nil {
 		t.Error("empty key list accepted")
 	}
-	if _, _, err := env.engines[0].ChainJoin("Nope", []Value{String("a")}, "fileID", 0); err == nil {
+	if _, _, err := env.engines[0].ChainJoinContext(context.Background(), "Nope", []Value{String("a")}, "fileID", 0); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, _, err := env.engines[0].ChainJoin("Inverted", []Value{String("a")}, "nocol", 0); err == nil {
+	if _, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", []Value{String("a")}, "nocol", 0); err == nil {
 		t.Error("unknown join column accepted")
 	}
 }
@@ -231,14 +232,14 @@ func TestCount(t *testing.T) {
 	env := newTestEnv(t, 24, Config{})
 	env.publishFile(t, 0, "zebra one")
 	env.publishFile(t, 1, "zebra two")
-	n, _, err := env.engines[5].Count("Inverted", String("zebra"))
+	n, _, err := env.engines[5].CountContext(context.Background(), "Inverted", String("zebra"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("Count(zebra) = %d, want 2", n)
 	}
-	n, _, err = env.engines[5].Count("Inverted", String("absent"))
+	n, _, err = env.engines[5].CountContext(context.Background(), "Inverted", String("absent"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestSelectivityOrderingShipsFewerEntries(t *testing.T) {
 			env.publishFile(t, i%len(env.engines), fmt.Sprintf("common filler %d", i))
 		}
 		env.publishFile(t, 0, "common rare")
-		_, stats, err := env.engines[3].ChainJoin("Inverted", []Value{String("common"), String("rare")}, "fileID", 0)
+		_, stats, err := env.engines[3].ChainJoinContext(context.Background(), "Inverted", []Value{String("common"), String("rare")}, "fileID", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +278,7 @@ func TestCacheSelect(t *testing.T) {
 	env.publishFile(t, 0, "madonna like a prayer")
 	env.publishFile(t, 1, "madonna hits")
 
-	tuples, stats, err := env.engines[9].CacheSelect("InvertedCache", String("madonna"), []string{"prayer"}, "fulltext", 0)
+	tuples, stats, err := env.engines[9].CacheSelectContext(context.Background(), "InvertedCache", String("madonna"), []string{"prayer"}, "fulltext", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestCacheSelect(t *testing.T) {
 func TestCacheSelectCaseInsensitive(t *testing.T) {
 	env := newTestEnv(t, 16, Config{})
 	env.publishFile(t, 0, "Madonna Like A Prayer")
-	tuples, _, err := env.engines[3].CacheSelect("InvertedCache", String("madonna"), []string{"PRAYER"}, "fulltext", 0)
+	tuples, _, err := env.engines[3].CacheSelectContext(context.Background(), "InvertedCache", String("madonna"), []string{"PRAYER"}, "fulltext", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,14 +307,14 @@ func TestCacheSelectLimitAndMiss(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		env.publishFile(t, i%3, fmt.Sprintf("shared name %d", i))
 	}
-	tuples, _, err := env.engines[0].CacheSelect("InvertedCache", String("shared"), nil, "fulltext", 2)
+	tuples, _, err := env.engines[0].CacheSelectContext(context.Background(), "InvertedCache", String("shared"), nil, "fulltext", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tuples) != 2 {
 		t.Fatalf("limit 2 returned %d", len(tuples))
 	}
-	tuples, _, err = env.engines[0].CacheSelect("InvertedCache", String("shared"), []string{"absent"}, "fulltext", 0)
+	tuples, _, err = env.engines[0].CacheSelectContext(context.Background(), "InvertedCache", String("shared"), []string{"absent"}, "fulltext", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,14 +333,14 @@ func TestCacheQueryCheaperThanChainForPopularKeywords(t *testing.T) {
 	net := env.cluster.Net
 
 	before := net.Stats()
-	_, _, err := env.engines[3].ChainJoin("Inverted", []Value{String("britney"), String("spears")}, "fileID", 0)
+	_, _, err := env.engines[3].ChainJoinContext(context.Background(), "Inverted", []Value{String("britney"), String("spears")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chainBytes := net.Stats().Sub(before).Bytes
 
 	before = net.Stats()
-	_, _, err = env.engines[3].CacheSelect("InvertedCache", String("britney"), []string{"spears"}, "fulltext", 0)
+	_, _, err = env.engines[3].CacheSelectContext(context.Background(), "InvertedCache", String("britney"), []string{"spears"}, "fulltext", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,13 +383,13 @@ func BenchmarkChainJoinTwoKeywords(b *testing.B) {
 	}
 	for i := 0; i < 50; i++ {
 		fileID := []byte(fmt.Sprintf("file-%d", i))
-		engines[i%32].Publish("Inverted", Tuple{String("alpha"), Bytes(fileID)})
+		engines[i%32].PublishContext(context.Background(), "Inverted", Tuple{String("alpha"), Bytes(fileID)})
 		if i%2 == 0 {
-			engines[i%32].Publish("Inverted", Tuple{String("beta"), Bytes(fileID)})
+			engines[i%32].PublishContext(context.Background(), "Inverted", Tuple{String("beta"), Bytes(fileID)})
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engines[i%32].ChainJoin("Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
+		engines[i%32].ChainJoinContext(context.Background(), "Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
 	}
 }

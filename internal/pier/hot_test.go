@@ -46,11 +46,11 @@ func TestHotTierInvalidationOnPublish(t *testing.T) {
 	key := String("alpha")
 
 	req := env.engines[nonHolderIndex(t, env, "Inverted", key)]
-	n, _, err := req.Count("Inverted", key)
+	n, _, err := req.CountContext(context.Background(), "Inverted", key)
 	if err != nil || n != 1 {
 		t.Fatalf("first count = %d, %v; want 1", n, err)
 	}
-	n, ls, err := req.Count("Inverted", key)
+	n, ls, err := req.CountContext(context.Background(), "Inverted", key)
 	if err != nil || n != 1 {
 		t.Fatalf("second count = %d, %v; want 1", n, err)
 	}
@@ -59,10 +59,10 @@ func TestHotTierInvalidationOnPublish(t *testing.T) {
 	}
 
 	// Publisher side: the requester's own publish must purge its cache.
-	if _, err := req.Publish("Inverted", Tuple{key, Bytes([]byte("alpha two"))}); err != nil {
+	if _, err := req.PublishContext(context.Background(), "Inverted", Tuple{key, Bytes([]byte("alpha two"))}); err != nil {
 		t.Fatal(err)
 	}
-	n, _, err = req.Count("Inverted", key)
+	n, _, err = req.CountContext(context.Background(), "Inverted", key)
 	if err != nil || n != 2 {
 		t.Fatalf("post-publish count = %d, %v; want 2 (stale cache served)", n, err)
 	}
@@ -81,14 +81,14 @@ func TestHotTierInvalidationOnPublish(t *testing.T) {
 		t.Fatal("no replica holds the key")
 	}
 	rep := env.engines[replica]
-	if n, _, err = rep.Count("Inverted", key); err != nil || n != 2 {
+	if n, _, err = rep.CountContext(context.Background(), "Inverted", key); err != nil || n != 2 {
 		t.Fatalf("replica count = %d, %v; want 2", n, err)
 	}
 	other := env.engines[(replica+1)%len(env.engines)]
-	if _, err := other.Publish("Inverted", Tuple{key, Bytes([]byte("alpha three"))}); err != nil {
+	if _, err := other.PublishContext(context.Background(), "Inverted", Tuple{key, Bytes([]byte("alpha three"))}); err != nil {
 		t.Fatal(err)
 	}
-	if n, _, err = rep.Count("Inverted", key); err != nil || n != 3 {
+	if n, _, err = rep.CountContext(context.Background(), "Inverted", key); err != nil || n != 3 {
 		t.Fatalf("replica post-publish count = %d, %v; want 3 (observer purge missed)", n, err)
 	}
 }
@@ -152,20 +152,20 @@ func TestHotTierTTLExpiry(t *testing.T) {
 	key := String("gamma")
 	e := env.engines[nonHolderIndex(t, env, "Inverted", key)]
 
-	n, ls, err := e.Count("Inverted", key)
+	n, ls, err := e.CountContext(context.Background(), "Inverted", key)
 	if err != nil || n != 1 {
 		t.Fatalf("warm count = %d, %v; want 1", n, err)
 	}
 	if ls.Messages == 0 {
 		t.Fatal("warm count paid no messages: requester unexpectedly holds the key")
 	}
-	if n, ls, err = e.Count("Inverted", key); err != nil || n != 1 || ls.Messages != 0 {
+	if n, ls, err = e.CountContext(context.Background(), "Inverted", key); err != nil || n != 1 || ls.Messages != 0 {
 		t.Fatalf("within-TTL count = %d msgs=%d, %v; want cached", n, ls.Messages, err)
 	}
 	mu.Lock()
 	now += 2 * time.Second
 	mu.Unlock()
-	n, ls, err = e.Count("Inverted", key)
+	n, ls, err = e.CountContext(context.Background(), "Inverted", key)
 	if err != nil || n != 1 {
 		t.Fatalf("post-TTL count = %d, %v; want 1", n, err)
 	}
@@ -186,7 +186,7 @@ func TestHotTierFanoutReadsStayCorrect(t *testing.T) {
 	e := env.engines[idx]
 
 	for i := 0; i < 8; i++ {
-		n, _, err := e.Count("Inverted", key)
+		n, _, err := e.CountContext(context.Background(), "Inverted", key)
 		if err != nil || n != 1 {
 			t.Fatalf("read %d: count = %d, %v; want 1", i, n, err)
 		}
@@ -229,7 +229,7 @@ func TestFetchCachePurgedOnPublish(t *testing.T) {
 	if _, ok := tiers[ri].Data.Get(fetchKey("Item", key)); !ok {
 		t.Fatal("fetch entry is not under the relation+key form")
 	}
-	if _, err := req.Publish("Item", item("10.0.0.2")); err != nil {
+	if _, err := req.PublishContext(context.Background(), "Item", item("10.0.0.2")); err != nil {
 		t.Fatal(err)
 	}
 	if st := fetch(req, 2); st.CacheHits != 0 {
@@ -254,7 +254,7 @@ func TestFetchCachePurgedOnPublish(t *testing.T) {
 	if st := fetch(rep, 2); st.CacheHits != 1 {
 		t.Fatal("replica did not cache the fetch")
 	}
-	if _, err := env.engines[(replica+1)%len(env.engines)].Publish("Item", item("10.0.0.3")); err != nil {
+	if _, err := env.engines[(replica+1)%len(env.engines)].PublishContext(context.Background(), "Item", item("10.0.0.3")); err != nil {
 		t.Fatal(err)
 	}
 	if st := fetch(rep, 3); st.CacheHits != 0 {

@@ -28,14 +28,14 @@ func legacyRun(e *env, at int, keywords []string, strat Strategy, limit int) (ma
 		for i, kw := range keywords {
 			keys[i] = pier.String(kw)
 		}
-		values, op, err := engine.ChainJoinConcurrent(TableInverted, keys, "fileID", limit)
+		values, op, err := engine.ChainJoinConcurrentContext(context.Background(), TableInverted, keys, "fileID", limit)
 		bytes += op.Bytes
 		if err != nil {
 			return nil, bytes, err
 		}
 		fileIDs = values
 	case StrategyCache:
-		tuples, op, err := engine.CacheSelect(TableInvertedCache, pier.String(keywords[0]), keywords[1:], "fulltext", limit)
+		tuples, op, err := engine.CacheSelectContext(context.Background(), TableInvertedCache, pier.String(keywords[0]), keywords[1:], "fulltext", limit)
 		bytes += op.Bytes
 		if err != nil {
 			return nil, bytes, err
@@ -54,8 +54,8 @@ func legacyRun(e *env, at int, keywords []string, strat Strategy, limit int) (ma
 	ids := map[string]bool{}
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	pier.ForEach(len(fileIDs), engine.Workers(), func(i int) {
-		tuples, ls, err := engine.Fetch(TableItem, fileIDs[i])
+	pier.ForEachCtx(context.Background(), len(fileIDs), engine.Workers(), func(i int) {
+		tuples, ls, err := engine.FetchContext(context.Background(), TableItem, fileIDs[i])
 		<-mu
 		bytes += ls.Bytes
 		if err == nil {

@@ -102,7 +102,8 @@ func IndexTuples(f File, keywords []string, mode PublishMode) []pier.Pub {
 // PublishFile indexes one file: an Item tuple under its fileID and one
 // Inverted/InvertedCache tuple per keyword of its filename. All tuples of
 // the file are independent, so they are put into the DHT through a bounded
-// worker pool rather than one at a time.
+// worker pool rather than one at a time. A publish is the root of its own
+// work, so it runs under the engine node's lifetime context.
 func (p *Publisher) PublishFile(f File) (PublishStats, error) {
 	var stats PublishStats
 	start := time.Now()
@@ -112,7 +113,7 @@ func (p *Publisher) PublishFile(f File) (PublishStats, error) {
 	}
 	stats.Keywords = len(keywords)
 
-	res, err := p.engine.PublishBatch(IndexTuples(f, keywords, p.mode), p.workers)
+	res, err := p.engine.PublishBatchContext(p.engine.Node().Context(), IndexTuples(f, keywords, p.mode), p.workers)
 	stats.addLookup(res.Stats)
 	stats.Tuples = res.Published
 	stats.MaxInFlight = res.MaxInFlight

@@ -10,7 +10,7 @@
 //     exactly one task at a time and hands control over at sleep points in
 //     event-time order, so a seeded run is fully reproducible — including
 //     shared-rng latency sampling and routing-table mutation order.
-//   - Net: a dht.ContextTransport whose latency legs are Clock.Sleep
+//   - Net: a dht.Transport whose latency legs are Clock.Sleep
 //     calls, with churn hooks (Detach/Reattach) and the same traffic
 //     accounting as the wall-clock transports.
 //   - Cluster: a cluster builder that skips the O(n·k) RPC bootstrap.

@@ -1,6 +1,7 @@
 package scale_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -94,7 +95,7 @@ func TestNarrowPutPlacementMatchesWideLookup(t *testing.T) {
 
 	// The wide pick: the head of a K-wide FindNode lookup.
 	wide := func(cl *scale.Cluster, origin *dht.Node, key dht.ID) map[string]bool {
-		closest, _, err := origin.Lookup(key)
+		closest, _, err := origin.LookupContext(context.Background(), key)
 		if err != nil {
 			t.Errorf("lookup %s: %v", key.Short(), err)
 			return nil
@@ -107,7 +108,7 @@ func TestNarrowPutPlacementMatchesWideLookup(t *testing.T) {
 	}
 	// The narrow pick: wherever a put left its replicas.
 	narrow := func(cl *scale.Cluster, origin *dht.Node, key dht.ID) map[string]bool {
-		if _, err := origin.PutID(key, []byte("v")); err != nil {
+		if _, err := origin.PutIDContext(context.Background(), key, []byte("v")); err != nil {
 			t.Errorf("put %s: %v", key.Short(), err)
 			return nil
 		}

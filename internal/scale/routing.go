@@ -33,7 +33,8 @@ func runRoutingPhase(cfg Config, clock *Clock, cl *Cluster) (*RoutingReport, err
 			i := i
 			clock.Go(func() {
 				start := clock.Now()
-				_, st, lerr := cl.Nodes[i%cfg.StableCore].Lookup(targets[i])
+				origin := cl.Nodes[i%cfg.StableCore]
+				_, st, lerr := origin.LookupContext(origin.Context(), targets[i])
 				elapsed := clock.Now() - start
 				mu.Lock()
 				defer mu.Unlock()

@@ -77,7 +77,8 @@ func runSurvival(cfg Config, clock *Clock, cl *Cluster, keys []dht.ID) (*Surviva
 			i := i
 			clock.Go(func() {
 				start := clock.Now()
-				vals, st, qerr := cl.Nodes[i%cfg.StableCore].GetID(sample[i])
+				origin := cl.Nodes[i%cfg.StableCore]
+				vals, st, qerr := origin.GetIDContext(origin.Context(), sample[i])
 				elapsed := clock.Now() - start
 				mu.Lock()
 				defer mu.Unlock()

@@ -10,7 +10,7 @@ import (
 	"piersearch/internal/simnet"
 )
 
-// Net is the virtual-time dht.ContextTransport: each RPC pays two sampled
+// Net is the virtual-time dht.Transport: each RPC pays two sampled
 // latency legs as Clock.Sleep calls instead of wall-clock timers, so a
 // 100k-node cluster's traffic executes as fast as the host can switch
 // tasks. Latency is drawn from the same simnet.LatencyModel vocabulary as
@@ -129,12 +129,7 @@ func (vn *Net) PerNode() (msgs, bytes map[string]uint64) {
 	return msgs, bytes
 }
 
-// Call implements dht.Transport.
-func (vn *Net) Call(to dht.NodeInfo, req *dht.Request) (*dht.Response, error) {
-	return vn.CallContext(context.Background(), to, req)
-}
-
-// CallContext implements dht.ContextTransport. Callers must be clock
+// CallContext implements dht.Transport. Callers must be clock
 // tasks: both latency legs are virtual sleeps. The context is consulted at
 // the call boundary — virtual time cannot race a caller-side cancel the
 // way wall-clock transports can, so a context canceled before the call

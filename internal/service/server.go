@@ -37,13 +37,8 @@ type Options struct {
 	// client may issue back-to-back before the rate bound bites. 0 means
 	// PerClientQPS.
 	PerClientBurst int
-	// Logf, if set, receives one line per refused or failed query.
-	// Retained as a source-compatible adapter: NewServer wraps it into
-	// Logger when Logger is unset.
-	Logf func(format string, args ...any)
 	// Logger receives structured operational events (refusals, failed
-	// queries). When nil, one is derived from Logf; with both unset the
-	// daemon is silent.
+	// queries). Nil leaves the daemon silent.
 	Logger *telemetry.Logger
 	// Tracer, when set, records the daemon's side of distributed query
 	// traces: one span per traced stream, parented under the client's
@@ -81,17 +76,6 @@ func (o Options) batchSize() int {
 		return 16
 	}
 	return o.BatchSize
-}
-
-// logger unifies the two logging options: Logger wins, Logf is wrapped.
-func (o Options) logger() *telemetry.Logger {
-	if o.Logger != nil {
-		return o.Logger
-	}
-	if o.Logf != nil {
-		return telemetry.NewLogger(telemetry.LogfSink(o.Logf), telemetry.LevelDebug)
-	}
-	return nil
 }
 
 // tokenBucket is the per-connection admission bucket behind PerClientQPS.
@@ -204,7 +188,7 @@ func NewServer(ln net.Listener, search *piersearch.Search, pub *piersearch.Publi
 		opts:   opts,
 		ln:     ln,
 		sem:    make(chan struct{}, opts.maxQueries()),
-		log:    opts.logger(),
+		log:    opts.Logger,
 		muxes:  make(map[*wire.Mux]bool),
 	}
 	if reg := opts.Metrics; reg != nil {

@@ -48,7 +48,7 @@ func newEnv(t testing.TB, nodes, nfiles int, opts service.Options) *env {
 		piersearch.RegisterSchemas(engines[i])
 	}
 	for i := 1; i < nodes; i++ {
-		if err := dhtNodes[i].Bootstrap(dhtNodes[0].Info()); err != nil {
+		if err := dhtNodes[i].JoinNetwork([]dht.NodeInfo{dhtNodes[0].Info()}); err != nil {
 			t.Fatal(err)
 		}
 	}

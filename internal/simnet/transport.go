@@ -75,15 +75,10 @@ func (rt *RealTime) Messages() uint64 { return rt.messages.Load() }
 // Bytes returns the total wire bytes carried (requests plus responses).
 func (rt *RealTime) Bytes() uint64 { return rt.bytes.Load() }
 
-// Call implements dht.Transport: it sleeps a sampled one-way delay, hands
-// the request to the destination node, and sleeps another sampled delay
-// for the response leg.
-func (rt *RealTime) Call(to dht.NodeInfo, req *dht.Request) (*dht.Response, error) {
-	return rt.CallContext(context.Background(), to, req)
-}
-
-// CallContext implements dht.ContextTransport: cancellation during either
-// latency leg abandons the RPC immediately, modelling a caller that stops
+// CallContext implements dht.Transport: it sleeps a sampled one-way delay,
+// hands the request to the destination node, and sleeps another sampled
+// delay for the response leg. Cancellation during either latency leg
+// abandons the RPC immediately, modelling a caller that stops
 // waiting for a wide-area round-trip (the request or response is simply
 // lost in flight; the destination handler does not run after a request-leg
 // cancel).
@@ -157,7 +152,7 @@ func NewRealTimeCluster(n int, seed int64, cfg dht.Config, latency LatencyModel)
 		rt.Join(node)
 		nodes = append(nodes, node)
 	}
-	seedInfo := nodes[0].Info()
+	seeds := []dht.NodeInfo{nodes[0].Info()}
 	// Bootstrap concurrently: each join is independent and the serial cost
 	// over a latency-bearing network would dominate test time.
 	errs := make([]error, n)
@@ -166,7 +161,7 @@ func NewRealTimeCluster(n int, seed int64, cfg dht.Config, latency LatencyModel)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = nodes[i].Bootstrap(seedInfo)
+			errs[i] = nodes[i].JoinNetwork(seeds)
 		}(i)
 	}
 	wg.Wait()

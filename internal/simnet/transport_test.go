@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,10 +15,10 @@ func TestRealTimeClusterPutGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nodes[1].Put("ns", "key", []byte("hello")); err != nil {
+	if _, err := nodes[1].PutContext(context.Background(), "ns", "key", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	values, _, err := nodes[5].Get("ns", "key")
+	values, _, err := nodes[5].GetContext(context.Background(), "ns", "key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestRealTimeImposesLatency(t *testing.T) {
 	// Swap in a measurable latency after bootstrap so setup stays fast.
 	rt.SetLatency(Constant(5 * time.Millisecond))
 	start := time.Now()
-	if _, _, err := nodes[0].Lookup(nodes[3].Info().ID); err != nil {
+	if _, _, err := nodes[0].LookupContext(context.Background(), nodes[3].Info().ID); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
@@ -61,11 +62,11 @@ func TestRealTimeConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				key := fmt.Sprintf("k-%d", i%3)
-				if _, err := nodes[g].Put("ns", key, []byte(fmt.Sprintf("v-%d-%d", g, i))); err != nil {
+				if _, err := nodes[g].PutContext(context.Background(), "ns", key, []byte(fmt.Sprintf("v-%d-%d", g, i))); err != nil {
 					errs <- err
 					return
 				}
-				if _, _, err := nodes[(g+3)%8].Get("ns", key); err != nil {
+				if _, _, err := nodes[(g+3)%8].GetContext(context.Background(), "ns", key); err != nil {
 					errs <- err
 					return
 				}

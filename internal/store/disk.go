@@ -52,12 +52,8 @@ type Options struct {
 	// TTL awareness of background compaction. Default: wall time since
 	// Open.
 	Now func() time.Duration
-	// Logf, when set, receives operational log lines (recovery summary,
-	// compaction results, commit errors). nil silences them. Superseded
-	// by Logger; when both are set, Logger wins. Kept for source compat.
-	Logf func(format string, args ...any)
-	// Logger receives the store's structured log events. When nil, one
-	// is derived from Logf (or logging is off if that is nil too).
+	// Logger receives the store's operational log events (recovery
+	// summary, compaction results, commit errors). Nil silences them.
 	Logger *telemetry.Logger
 	// Tracer, when set, records a span per group commit and per
 	// compaction run into its ring, each as its own root trace.
@@ -80,9 +76,6 @@ func (o Options) normalize() Options {
 	if o.Now == nil {
 		start := time.Now()
 		o.Now = func() time.Duration { return time.Since(start) }
-	}
-	if o.Logger == nil && o.Logf != nil {
-		o.Logger = telemetry.NewLogger(telemetry.LogfSink(o.Logf), telemetry.LevelDebug)
 	}
 	return o
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestDiskBackedClusterRunsPierPipeline(t *testing.T) {
 		}
 	}
 
-	got, _, err := engines[5].ChainJoin(piersearch.TableInverted,
+	got, _, err := engines[5].ChainJoinContext(context.Background(), piersearch.TableInverted,
 		[]pier.Value{pier.String("durable"), pier.String("gem")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestDiskBackedClusterRunsPierPipeline(t *testing.T) {
 	if len(got) != 8 {
 		t.Fatalf("chain join over disk-backed cluster = %d results, want 8", len(got))
 	}
-	tuples, _, err := engines[9].CacheSelect(piersearch.TableInvertedCache,
+	tuples, _, err := engines[9].CacheSelectContext(context.Background(), piersearch.TableInvertedCache,
 		pier.String("durable"), []string{"gem"}, "fulltext", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 	}
 
 	// With every holder gone, the join must come up empty.
-	got, _, err := queryEngine.ChainJoin(piersearch.TableInverted,
+	got, _, err := queryEngine.ChainJoinContext(context.Background(), piersearch.TableInverted,
 		[]pier.Value{pier.String("restartable"), pier.String("gem")}, "fileID", 0)
 	if err == nil && len(got) != 0 {
 		t.Fatalf("join with all holders down returned %d results, want 0", len(got))
@@ -140,7 +141,7 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 		rt.Join(reborn)
 		rebornEngine := pier.NewEngine(reborn, pier.Config{OrderBySelectivity: true})
 		piersearch.RegisterSchemas(rebornEngine)
-		if err := reborn.Bootstrap(alive.Info()); err != nil {
+		if err := reborn.JoinNetwork([]dht.NodeInfo{alive.Info()}); err != nil {
 			t.Fatal(err)
 		}
 		recovered += reborn.Storage().(*Disk).Recovery().Values
@@ -155,7 +156,7 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 	// briefly: routing tables settle as the reborn nodes are observed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got, _, err = queryEngine.ChainJoin(piersearch.TableInverted,
+		got, _, err = queryEngine.ChainJoinContext(context.Background(), piersearch.TableInverted,
 			[]pier.Value{pier.String("restartable"), pier.String("gem")}, "fileID", 0)
 		if err == nil && len(got) == 1 {
 			break

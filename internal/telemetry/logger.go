@@ -154,34 +154,13 @@ func (l *Logger) Warn(msg string, args ...any) { l.log(LevelWarn, msg, args) }
 // Error logs at error level; args are alternating key, value pairs.
 func (l *Logger) Error(msg string, args ...any) { l.log(LevelError, msg, args) }
 
-// Logf is the printf-shaped adapter for call sites still holding a
-// func(string, ...any) (dht.Config.Logf, store.Options.Logf). Emits at
-// info level with the formatted string as the message.
+// Logf logs a printf-formatted message at info level, for call sites
+// whose message is a sentence rather than key-value pairs.
 func (l *Logger) Logf(format string, args ...any) {
 	if !l.Enabled(LevelInfo) {
 		return
 	}
 	l.log(LevelInfo, fmt.Sprintf(format, args...), nil)
-}
-
-// LogfSink wraps a legacy printf-style function as a Sink, rendering
-// each event to one formatted line. It lets constructors that only
-// have a Logf closure feed the structured logger.
-func LogfSink(logf func(format string, args ...any)) Sink {
-	if logf == nil {
-		return nil
-	}
-	return SinkFunc(func(e Event) {
-		var b strings.Builder
-		b.WriteString(e.Msg)
-		for i := range e.Keys {
-			b.WriteByte(' ')
-			b.WriteString(e.Keys[i])
-			b.WriteByte('=')
-			b.WriteString(e.Vals[i])
-		}
-		logf("%s", b.String())
-	})
 }
 
 // renderPairs renders alternating key, value args to parallel string

@@ -425,12 +425,3 @@ func TestTextLoggerFormat(t *testing.T) {
 		t.Fatalf("line = %q", line)
 	}
 }
-
-func TestLogfSinkAdapter(t *testing.T) {
-	var got string
-	lg := NewLogger(LogfSink(func(format string, args ...any) { got = fmt.Sprintf(format, args...) }), LevelDebug)
-	lg.Info("compacted", "logs", 3)
-	if got != "compacted logs=3" {
-		t.Fatalf("rendered %q", got)
-	}
-}

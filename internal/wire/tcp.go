@@ -108,12 +108,7 @@ func (t *TCPTransport) dialContext() context.Context {
 	return t.dialCtx
 }
 
-// Call implements dht.Transport.
-func (t *TCPTransport) Call(to dht.NodeInfo, req *dht.Request) (*dht.Response, error) {
-	return t.CallContext(context.Background(), to, req)
-}
-
-// CallContext implements dht.ContextTransport. The context governs the
+// CallContext implements dht.Transport. The context governs the
 // whole round-trip: waiting for a pooled-connection slot, the dial, and
 // the framed read/write (the connection deadline is the earlier of the
 // context deadline and CallTimeout; cancellation severs an in-flight

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -89,7 +90,7 @@ func TestTCPCloseReleasesPooledConns(t *testing.T) {
 	srv := newFakeRPCServer(t, nil)
 	tr := NewTCPTransport()
 	for i := 0; i < 3; i++ {
-		if _, err := tr.Call(srv.info(), pingReq()); err != nil {
+		if _, err := tr.CallContext(context.Background(), srv.info(), pingReq()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,11 +111,11 @@ func TestTCPCloseReleasesPooledConns(t *testing.T) {
 func TestTCPCallAfterCloseFails(t *testing.T) {
 	srv := newFakeRPCServer(t, nil)
 	tr := NewTCPTransport()
-	if _, err := tr.Call(srv.info(), pingReq()); err != nil {
+	if _, err := tr.CallContext(context.Background(), srv.info(), pingReq()); err != nil {
 		t.Fatal(err)
 	}
 	tr.Close()
-	_, err := tr.Call(srv.info(), pingReq())
+	_, err := tr.CallContext(context.Background(), srv.info(), pingReq())
 	if err == nil {
 		t.Fatal("Call succeeded on closed transport")
 	}
@@ -122,7 +123,7 @@ func TestTCPCallAfterCloseFails(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	// Unknown hosts must be refused too (no new pool created post-Close).
-	if _, err := tr.Call(dht.NodeInfo{ID: dht.StringID("other"), Addr: "127.0.0.1:1"}, pingReq()); err == nil {
+	if _, err := tr.CallContext(context.Background(), dht.NodeInfo{ID: dht.StringID("other"), Addr: "127.0.0.1:1"}, pingReq()); err == nil {
 		t.Fatal("Call to new host succeeded on closed transport")
 	}
 }
@@ -136,7 +137,7 @@ func TestTCPCloseDuringInFlightCall(t *testing.T) {
 	tr := NewTCPTransport()
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.Call(srv.info(), pingReq())
+		_, err := tr.CallContext(context.Background(), srv.info(), pingReq())
 		done <- err
 	}()
 	waitFor(t, "in-flight call to reach the server", func() bool { return srv.accepted.Load() == 1 })
@@ -171,7 +172,7 @@ func TestTCPCloseAbortsPendingDials(t *testing.T) {
 		t.Fatal("Close did not cancel the dial context")
 	}
 	start := time.Now()
-	if _, err := tr.Call(dht.NodeInfo{ID: dht.StringID("n"), Addr: "203.0.113.1:9"}, pingReq()); err == nil {
+	if _, err := tr.CallContext(context.Background(), dht.NodeInfo{ID: dht.StringID("n"), Addr: "203.0.113.1:9"}, pingReq()); err == nil {
 		t.Fatal("Call succeeded after Close")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func TestTCPConcurrentSharedConnection(t *testing.T) {
 					defer wg.Done()
 					for i := 0; i < callsPer; i++ {
 						payload := []byte(fmt.Sprintf("frame-%d-%d", g, i))
-						reply, _, err := client.SendTo(server.Info(), "echo", payload)
+						reply, _, err := client.SendToContext(context.Background(), server.Info(), "echo", payload)
 						if err != nil {
 							errs <- err
 							return
@@ -72,7 +73,7 @@ func TestTCPConcurrentPutGet(t *testing.T) {
 		nodes[i], _ = startTCPNode(t, transport)
 	}
 	for i := 1; i < n; i++ {
-		if err := nodes[i].Bootstrap(nodes[0].Info()); err != nil {
+		if err := nodes[i].JoinNetwork([]dht.NodeInfo{nodes[0].Info()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,11 +85,11 @@ func TestTCPConcurrentPutGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
 				key := fmt.Sprintf("key-%d", i%4)
-				if _, err := nodes[g].Put("ns", key, []byte(fmt.Sprintf("v-%d-%d", g, i))); err != nil {
+				if _, err := nodes[g].PutContext(context.Background(), "ns", key, []byte(fmt.Sprintf("v-%d-%d", g, i))); err != nil {
 					errs <- err
 					return
 				}
-				if _, _, err := nodes[(g+1)%n].Get("ns", key); err != nil {
+				if _, _, err := nodes[(g+1)%n].GetContext(context.Background(), "ns", key); err != nil {
 					errs <- err
 					return
 				}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"fmt"
 	"testing"
@@ -283,14 +284,14 @@ func TestTCPClusterPutGet(t *testing.T) {
 		nodes[i], _ = startTCPNode(t, transport)
 	}
 	for i := 1; i < n; i++ {
-		if err := nodes[i].Bootstrap(nodes[0].Info()); err != nil {
+		if err := nodes[i].JoinNetwork([]dht.NodeInfo{nodes[0].Info()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := nodes[2].Put("ns", "key", []byte("over tcp")); err != nil {
+	if _, err := nodes[2].PutContext(context.Background(), "ns", "key", []byte("over tcp")); err != nil {
 		t.Fatal(err)
 	}
-	values, _, err := nodes[6].Get("ns", "key")
+	values, _, err := nodes[6].GetContext(context.Background(), "ns", "key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +314,7 @@ func TestTCPPierSearchEndToEnd(t *testing.T) {
 		piersearch.RegisterSchemas(engines[i])
 	}
 	for i := 1; i < n; i++ {
-		if err := nodes[i].Bootstrap(nodes[0].Info()); err != nil {
+		if err := nodes[i].JoinNetwork([]dht.NodeInfo{nodes[0].Info()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +341,7 @@ func TestTCPCallToDeadNodeFails(t *testing.T) {
 	transport := NewTCPTransport()
 	transport.DialTimeout = 200 * time.Millisecond
 	defer transport.Close()
-	_, err := transport.Call(dht.NodeInfo{Addr: "127.0.0.1:1"}, &dht.Request{Kind: dht.RPCPing})
+	_, err := transport.CallContext(context.Background(), dht.NodeInfo{Addr: "127.0.0.1:1"}, &dht.Request{Kind: dht.RPCPing})
 	if err == nil {
 		t.Error("call to dead address succeeded")
 	}
@@ -351,13 +352,13 @@ func TestTCPServerCloseUnblocks(t *testing.T) {
 	defer transport.Close()
 	node, srv := startTCPNode(t, transport)
 	// One successful call, then close, then calls fail.
-	if _, err := transport.Call(node.Info(), &dht.Request{Kind: dht.RPCPing}); err != nil {
+	if _, err := transport.CallContext(context.Background(), node.Info(), &dht.Request{Kind: dht.RPCPing}); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	transport.Close()
 	transport.DialTimeout = 200 * time.Millisecond
-	if _, err := transport.Call(node.Info(), &dht.Request{Kind: dht.RPCPing}); err == nil {
+	if _, err := transport.CallContext(context.Background(), node.Info(), &dht.Request{Kind: dht.RPCPing}); err == nil {
 		t.Error("call after server close succeeded")
 	}
 }

@@ -26,7 +26,7 @@ func legacyJoinQuery(tb testing.TB, e *pier.Engine, keywords []string) (int, int
 	for i, kw := range keywords {
 		keys[i] = pier.String(kw)
 	}
-	values, op, err := e.ChainJoinConcurrent(piersearch.TableInverted, keys, "fileID", 0)
+	values, op, err := e.ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted, keys, "fileID", 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func legacyJoinQuery(tb testing.TB, e *pier.Engine, keywords []string) (int, int
 	results := 0
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	pier.ForEach(len(values), e.Workers(), func(i int) {
-		tuples, ls, err := e.Fetch(piersearch.TableItem, values[i])
+	pier.ForEachCtx(context.Background(), len(values), e.Workers(), func(i int) {
+		tuples, ls, err := e.FetchContext(context.Background(), piersearch.TableItem, values[i])
 		<-mu
 		bytes += ls.Bytes
 		if err == nil {
