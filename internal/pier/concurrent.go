@@ -204,7 +204,7 @@ func (e *Engine) handleBloom(_ dht.NodeInfo, data []byte) []byte {
 	if msg.Bits == 0 || msg.Hashes == 0 || msg.Bits > maxBloomBits || msg.Hashes > maxBloomHashes {
 		return bloomErr("bad filter geometry")
 	}
-	tuples, err := e.LocalScan(msg.Table, msg.Key)
+	tuples, err := e.scan(sch, msg.Key)
 	if err != nil {
 		return bloomErr(err.Error())
 	}

@@ -267,27 +267,54 @@ func decodeValues(values []dht.StoredValue) ([]Tuple, error) {
 }
 
 // LocalScan returns the tuples of table stored on this node under key,
-// without any network traffic. With a hot tier installed the decoded
-// posting set is cached (and invalidated when a new replica store for
-// the key arrives), so repeated scans of a hot key skip the per-request
+// without any network traffic. A STORE carries raw bytes from any peer, so
+// the scan drops every tuple that fails the table's Schema.Validate — the
+// check PublishContext runs at the origin — and owner-side handlers index
+// columns of valid tuples only. With a hot tier installed the validated
+// posting set is cached (and invalidated when a new replica store for the
+// key arrives), so repeated scans of a hot key skip the per-request
 // decode; callers must treat the returned tuples as immutable.
 func (e *Engine) LocalScan(table string, key Value) ([]Tuple, error) {
-	id := keyID(table, key)
+	sch, ok := e.Schema(table)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, table)
+	}
+	return e.scan(sch, key)
+}
+
+// scan is LocalScan for a handler that has already resolved the schema.
+func (e *Engine) scan(sch *Schema, key Value) ([]Tuple, error) {
+	id := keyID(sch.Name, key)
 	t := e.hot.Load()
 	if t == nil {
-		return decodeValues(e.node.LocalGet(id))
+		return scanValid(sch, e.node.LocalGet(id))
 	}
 	tag := string(id[:])
 	ck := "p|" + tag
 	if v, ok := t.Data.Get(ck); ok {
 		return v.([]Tuple), nil
 	}
-	tuples, err := decodeValues(e.node.LocalGet(id))
+	tuples, err := scanValid(sch, e.node.LocalGet(id))
 	if err != nil {
 		return nil, err
 	}
 	t.Data.Put(ck, tuples, tuplesSize(tuples), tag)
 	return tuples, nil
+}
+
+// scanValid decodes stored values and keeps the tuples sch accepts.
+func scanValid(sch *Schema, values []dht.StoredValue) ([]Tuple, error) {
+	tuples, err := decodeValues(values)
+	if err != nil {
+		return nil, err
+	}
+	valid := tuples[:0]
+	for _, t := range tuples {
+		if sch.Validate(t) == nil {
+			valid = append(valid, t)
+		}
+	}
+	return valid, nil
 }
 
 // FetchContext retrieves the tuples of table stored in the DHT under key.
@@ -468,15 +495,19 @@ func (e *Engine) runChainStep(msg chainMsg) {
 		return
 	}
 	joinIdx := sch.ColIndex(msg.JoinCol)
-	local, err := e.LocalScan(msg.Table, msg.Keys[msg.Step])
+	if joinIdx < 0 {
+		fail(fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, msg.Table, msg.JoinCol))
+		return
+	}
+	local, err := e.scan(sch, msg.Keys[msg.Step])
 	if err != nil {
 		fail(err)
 		return
 	}
 
-	// Symmetric hash join between the incoming candidate stream and the
-	// local posting list. On step 0 there is no incoming stream: the local
-	// list itself seeds the candidates.
+	// Join the incoming candidate stream with the local posting list. On
+	// step 0 there is no incoming stream: the local list itself seeds the
+	// candidates.
 	var survivors []Value
 	if msg.Step == 0 {
 		pre := decodePreJoinFilter(msg.Filter)
@@ -494,17 +525,23 @@ func (e *Engine) runChainStep(msg chainMsg) {
 			survivors = append(survivors, v)
 		}
 	} else {
-		join := NewSymmetricHashJoin(0, joinIdx)
+		// This is the symmetric hash join of PIER on a batch: both inputs
+		// are materialised when the step runs, so every candidate arrives
+		// after every posting, and only the candidate side's probe of the
+		// posting side's table can emit. The chain forwards join values,
+		// not joined tuples, so that probe only asks whether a key is
+		// present: a set of the local join keys answers it. Deleting a
+		// key on its first hit keeps each survivor once, in candidate
+		// order.
+		keys := make(map[string]struct{}, len(local))
 		for _, t := range local {
-			join.InsertRight(t)
+			keys[t[joinIdx].Key()] = struct{}{}
 		}
-		seen := map[string]bool{}
 		for _, v := range msg.Candidates {
-			for range join.InsertLeft(Tuple{v}) {
-				if k := v.Key(); !seen[k] {
-					seen[k] = true
-					survivors = append(survivors, v)
-				}
+			k := v.Key()
+			if _, ok := keys[k]; ok {
+				delete(keys, k)
+				survivors = append(survivors, v)
 			}
 		}
 	}
@@ -649,38 +686,30 @@ func (e *Engine) handleCache(_ dht.NodeInfo, data []byte) []byte {
 	if textIdx < 0 {
 		return cacheErr("no column " + msg.TextCol)
 	}
-	local, err := e.LocalScan(msg.Table, msg.Key)
+	local, err := e.scan(sch, msg.Key)
 	if err != nil {
 		return cacheErr(err.Error())
 	}
-	it := Select(NewSliceIter(local), func(t Tuple) bool {
+	var reply cacheReply
+next:
+	for _, t := range local {
+		if msg.Limit > 0 && len(reply.Tuples) == msg.Limit {
+			break
+		}
 		text := t[textIdx].Text()
 		for _, f := range msg.Filters {
-			if !ContainsFold(text, f) {
-				return false
+			if !containsFold(text, f) {
+				continue next
 			}
-		}
-		return true
-	})
-	if msg.Limit > 0 {
-		it = Limit(it, msg.Limit)
-	}
-	var reply cacheReply
-	for {
-		t, ok := it.Next()
-		if !ok {
-			break
 		}
 		reply.Tuples = append(reply.Tuples, t.Encode(nil))
 	}
 	return encodeCacheReply(nil, &reply)
 }
 
-// ContainsFold reports whether substr occurs in s under case folding,
-// matching the paper's substring selection operators over filenames. It is
-// the one case-folding helper shared by the engine's InvertedCache handler
-// and the plan package's Filter predicates.
-func ContainsFold(s, substr string) bool {
+// containsFold reports whether substr occurs in s under case folding,
+// matching the paper's substring selection operators over filenames.
+func containsFold(s, substr string) bool {
 	if len(substr) == 0 {
 		return true
 	}

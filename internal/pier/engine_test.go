@@ -369,6 +369,26 @@ func TestLocalScanOnlySeesLocal(t *testing.T) {
 	}
 }
 
+func TestContainsFold(t *testing.T) {
+	cases := []struct {
+		s, sub string
+		want   bool
+	}{
+		{"Madonna - Like a Prayer.mp3", "madonna", true},
+		{"Madonna - Like a Prayer.mp3", "PRAYER", true},
+		{"Madonna - Like a Prayer.mp3", "beatles", false},
+		{"abc", "", true},
+		{"", "x", false},
+		{"short", "longer than s", false},
+		{"xyz", "xyz", true},
+	}
+	for _, c := range cases {
+		if got := containsFold(c.s, c.sub); got != c.want {
+			t.Errorf("containsFold(%q, %q) = %v, want %v", c.s, c.sub, got, c.want)
+		}
+	}
+}
+
 func BenchmarkChainJoinTwoKeywords(b *testing.B) {
 	cluster, err := dht.NewCluster(32, 1, testClusterConfig(b))
 	if err != nil {

@@ -51,9 +51,7 @@
 //
 // Planner.Plan compiles a Query against a Catalog (which relations hold
 // postings, cached fulltext, and items) into the paper's two plan shapes;
-// see Plan's doc comment for the trees. Operators compose freely outside
-// the planner too — Filter and GroupBy adapt the engine's local
-// relational machinery (pier.Select predicates, pier.GroupBy aggregation)
-// into trees, which is the substrate planned work on top-k streaming and
-// pluggable super-peer routing builds on.
+// see Plan's doc comment for the trees. The package holds only the
+// operators the planner compiles: ChainJoin, CacheSelect, DHTFetch,
+// Limit, Project and Distinct.
 package plan

@@ -107,11 +107,6 @@ func (p *CompiledPlan) Explain() string { return Explain(p.Root) }
 // --- per-operator descriptions ----------------------------------------------
 
 // Describe implements Describer.
-func (o *LocalScan) Describe() string {
-	return fmt.Sprintf("LocalScan(%s, key=%s)", o.Table, o.Key.Text())
-}
-
-// Describe implements Describer.
 func (o *ChainJoin) Describe() string {
 	keys := make([]string, len(o.Keys))
 	for i, k := range o.Keys {
@@ -137,9 +132,6 @@ func (o *DHTFetch) Describe() string {
 }
 
 // Describe implements Describer.
-func (o *Filter) Describe() string { return "Filter" }
-
-// Describe implements Describer.
 func (o *Limit) Describe() string { return fmt.Sprintf("Limit(n=%d)", o.N) }
 
 // Describe implements Describer.
@@ -161,9 +153,4 @@ func (o *Distinct) Describe() string {
 		cols[i] = fmt.Sprint(c)
 	}
 	return fmt.Sprintf("Distinct(cols=[%s])", strings.Join(cols, " "))
-}
-
-// Describe implements Describer.
-func (o *GroupBy) Describe() string {
-	return fmt.Sprintf("GroupBy(keyCols=%v, aggs=%d)", o.KeyCols, len(o.Aggs))
 }

@@ -41,35 +41,6 @@ func (s *sliceSource) close() error {
 	return nil
 }
 
-// LocalScan scans the posting list of (Table, Key) held in this node's own
-// DHT store. No network traffic.
-type LocalScan struct {
-	Engine *pier.Engine
-	Table  string
-	Key    pier.Value
-
-	src sliceSource
-}
-
-// Open implements Operator.
-func (o *LocalScan) Open(ctx context.Context) error {
-	tuples, err := o.Engine.LocalScan(o.Table, o.Key)
-	if err != nil {
-		return ctxWrap(ctx, err)
-	}
-	o.src = sliceSource{ctx: ctx, open: true, tuples: tuples}
-	return nil
-}
-
-// Next implements Operator.
-func (o *LocalScan) Next() (pier.Tuple, error) { return o.src.next() }
-
-// Close implements Operator.
-func (o *LocalScan) Close() error { return o.src.close() }
-
-// Stats implements Operator.
-func (o *LocalScan) Stats() OpStats { return o.src.stats }
-
 // ChainJoin runs the distributed symmetric-hash-join chain over the owners
 // of Keys (the paper's Figure 2 plan) and emits one single-column tuple
 // per surviving join value. With Sequential unset it uses the concurrent
@@ -267,53 +238,6 @@ func (o *DHTFetch) Stats() OpStats { return o.stats }
 // Inputs implements InputsOperator.
 func (o *DHTFetch) Inputs() []Operator { return []Operator{o.Input} }
 
-// Filter passes through the input tuples for which Pred is true.
-type Filter struct {
-	Input Operator
-	Pred  func(pier.Tuple) bool
-
-	open  bool
-	stats OpStats
-}
-
-// Open implements Operator.
-func (o *Filter) Open(ctx context.Context) error {
-	if err := o.Input.Open(ctx); err != nil {
-		return err
-	}
-	o.open = true
-	return nil
-}
-
-// Next implements Operator.
-func (o *Filter) Next() (pier.Tuple, error) {
-	if !o.open {
-		return nil, ErrNotOpen
-	}
-	for {
-		t, err := o.Input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if o.Pred(t) {
-			o.stats.Tuples++
-			return t, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (o *Filter) Close() error {
-	o.open = false
-	return o.Input.Close()
-}
-
-// Stats implements Operator.
-func (o *Filter) Stats() OpStats { return o.stats }
-
-// Inputs implements InputsOperator.
-func (o *Filter) Inputs() []Operator { return []Operator{o.Input} }
-
 // Limit emits at most N input tuples (N <= 0 means unlimited: the
 // planner composes Limit unconditionally and zero disables it). Once the
 // limit is reached Next returns ErrDone without pulling the input again,
@@ -482,54 +406,3 @@ func (o *Distinct) Stats() OpStats { return o.stats }
 
 // Inputs implements InputsOperator.
 func (o *Distinct) Inputs() []Operator { return []Operator{o.Input} }
-
-// GroupBy adapts pier.GroupBy to the operator tree: it drains its input at
-// Open (checking the context between tuples), groups by KeyCols and
-// computes Aggs per group via the existing aggregation machinery, then
-// streams the grouped rows. Output rows are the group key columns followed
-// by one column per aggregate, sorted by group key.
-type GroupBy struct {
-	Input   Operator
-	KeyCols []int
-	Aggs    []pier.AggSpec
-
-	src sliceSource
-}
-
-// Open implements Operator.
-func (o *GroupBy) Open(ctx context.Context) error {
-	if err := o.Input.Open(ctx); err != nil {
-		return err
-	}
-	var in []pier.Tuple
-	for {
-		if err := ctx.Err(); err != nil {
-			return ctxWrap(ctx, err)
-		}
-		t, err := o.Input.Next()
-		if errors.Is(err, ErrDone) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		in = append(in, t)
-	}
-	o.src = sliceSource{ctx: ctx, open: true, tuples: pier.Collect(pier.GroupBy(pier.NewSliceIter(in), o.KeyCols, o.Aggs))}
-	return nil
-}
-
-// Next implements Operator.
-func (o *GroupBy) Next() (pier.Tuple, error) { return o.src.next() }
-
-// Close implements Operator.
-func (o *GroupBy) Close() error {
-	o.src.close() //nolint:errcheck // always nil
-	return o.Input.Close()
-}
-
-// Stats implements Operator.
-func (o *GroupBy) Stats() OpStats { return o.src.stats }
-
-// Inputs implements InputsOperator.
-func (o *GroupBy) Inputs() []Operator { return []Operator{o.Input} }

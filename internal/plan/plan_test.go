@@ -74,7 +74,7 @@ func drainAll(t *testing.T, op plan.Operator) []pier.Tuple {
 
 func TestOperatorContract(t *testing.T) {
 	src := &sliceOp{tuples: intRows(1, 2)}
-	op := &plan.Filter{Input: src, Pred: func(pier.Tuple) bool { return true }}
+	op := &plan.Distinct{Input: src}
 
 	// Next before Open.
 	if _, err := op.Next(); !errors.Is(err, plan.ErrNotOpen) {
@@ -107,17 +107,12 @@ func TestOperatorContract(t *testing.T) {
 }
 
 func TestFilterLimitProjectDistinct(t *testing.T) {
-	src := &sliceOp{tuples: intRows(1, 2, 3, 4, 4, 5, 6)}
+	src := &sliceOp{tuples: intRows(2, 2, 4, 4, 6, 8)}
 	tree := &plan.Limit{
 		N: 2,
 		Input: &plan.Project{
-			Cols: []int{1},
-			Input: &plan.Distinct{
-				Input: &plan.Filter{
-					Input: src,
-					Pred:  func(tp pier.Tuple) bool { return tp[0].Num()%2 == 0 },
-				},
-			},
+			Cols:  []int{1},
+			Input: &plan.Distinct{Input: src},
 		},
 	}
 	out := drainAll(t, tree)
@@ -137,8 +132,8 @@ func TestFilterLimitProjectDistinct(t *testing.T) {
 	// Walk sees the whole tree.
 	n := 0
 	plan.Walk(tree, func(plan.Operator) { n++ })
-	if n != 5 {
-		t.Errorf("Walk visited %d operators, want 5", n)
+	if n != 4 {
+		t.Errorf("Walk visited %d operators, want 4", n)
 	}
 }
 
@@ -149,33 +144,14 @@ func TestLimitZeroMeansUnlimited(t *testing.T) {
 	}
 }
 
-func TestGroupByAdapter(t *testing.T) {
-	// (key, value): group by col 0, count + sum col 1.
-	rows := []pier.Tuple{
-		{pier.String("a"), pier.Int(1)},
-		{pier.String("b"), pier.Int(10)},
-		{pier.String("a"), pier.Int(2)},
-	}
-	out := drainAll(t, &plan.GroupBy{
-		Input:   &sliceOp{tuples: rows},
-		KeyCols: []int{0},
-		Aggs:    []pier.AggSpec{{Kind: pier.AggCount}, {Kind: pier.AggSum, Col: 1}},
-	})
-	if len(out) != 2 {
-		t.Fatalf("groups = %#v", out)
-	}
-	if out[0][0].Text() != "a" || out[0][1].Num() != 2 || out[0][2].Num() != 3 {
-		t.Errorf("group a = %#v", out[0])
-	}
-	if out[1][0].Text() != "b" || out[1][1].Num() != 1 || out[1][2].Num() != 10 {
-		t.Errorf("group b = %#v", out[1])
-	}
-}
-
 func TestCanceledContextTagsErrors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	op := &plan.GroupBy{Input: &sliceOp{tuples: intRows(1)}, KeyCols: []int{0}}
+	env := newClusterEnv(t, 8)
+	op := &plan.CacheSelect{
+		Engine: env.engines[0], Table: "InvertedCache", Key: pier.String("alpha"),
+		Filters: []string{"beta"}, TextCol: "fulltext",
+	}
 	err := op.Open(ctx)
 	if !errors.Is(err, plan.ErrCanceled) {
 		t.Errorf("Open under canceled ctx = %v, want ErrCanceled", err)
