@@ -1,6 +1,6 @@
 // Package bench is the benchmark harness that regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md §4 for the index and
-// EXPERIMENTS.md for recorded paper-vs-measured results).
+// figure of the paper's evaluation (README's "Paper section → package
+// map" is the index; ROADMAP item 14 tracks paper-vs-measured results).
 //
 // Run everything:
 //
@@ -353,7 +353,7 @@ func BenchmarkAblationTFBloom(b *testing.B) {
 	b.ReportMetric(points[len(points)-1].AvgQR, "qr-random")
 }
 
-// --- ablations (DESIGN.md §5) -----------------------------------------------
+// --- ablations ----------------------------------------------------------------
 
 // ablationEnv builds a small PIER cluster with a skewed posting-list
 // workload for the join ablations.

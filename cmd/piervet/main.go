@@ -15,8 +15,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"sort"
+	"strings"
 
 	"piersearch/internal/lint/analysis"
 	"piersearch/internal/lint/codecguard"
@@ -26,9 +30,12 @@ import (
 	"piersearch/internal/lint/locksafe"
 	"piersearch/internal/lint/metricnames"
 	"piersearch/internal/lint/spanhygiene"
+	"piersearch/internal/lint/unusedexport"
 )
 
-// analyzers is the full suite, run over every target package.
+// analyzers is the per-package suite, run over every target package.
+// unusedexport completes the suite; it runs once, over the targets
+// and the whole module together.
 var analyzers = []*analysis.Analyzer{
 	codecguard.Analyzer,
 	ctxflow.Analyzer,
@@ -46,6 +53,7 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
+		fmt.Fprintf(os.Stderr, "  %-12s %s\n", unusedexport.Name, unusedexport.Doc)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,6 +62,7 @@ func main() {
 		for _, a := range analyzers {
 			fmt.Printf("%s: %s\n", a.Name, a.Doc)
 		}
+		fmt.Printf("%s: %s\n", unusedexport.Name, unusedexport.Doc)
 		return
 	}
 
@@ -86,7 +95,19 @@ func run(patterns []string, verbose bool) ([]string, error) {
 		return nil, err
 	}
 
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
+	}
+	allows := analysis.ParseAllows(loader.Fset(), files)
 	var findings []string
+	report := func(name string, d analysis.Diagnostic) {
+		if allows.Suppressed(loader.Fset(), name, d.Pos) {
+			return
+		}
+		p := loader.Fset().Position(d.Pos)
+		findings = append(findings, fmt.Sprintf("%s: [%s] %s", p, name, d.Message))
+	}
 	for _, pkg := range pkgs {
 		// Skip the analyzers' own fixture trees: they are violations on
 		// purpose. (go list won't match testdata, but guard anyway for
@@ -100,7 +121,6 @@ func run(patterns []string, verbose bool) ([]string, error) {
 				fmt.Fprintf(os.Stderr, "piervet: %s: soft type error: %v\n", pkg.ImportPath, e)
 			}
 		}
-		allows := analysis.ParseAllows(loader.Fset(), pkg.Files)
 		for _, a := range analyzers {
 			pass := &analysis.Pass{
 				Analyzer:  a,
@@ -109,19 +129,39 @@ func run(patterns []string, verbose bool) ([]string, error) {
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.TypesInfo,
 			}
-			name := a.Name
-			pass.Report = func(d analysis.Diagnostic) {
-				if allows.Suppressed(loader.Fset(), name, d.Pos) {
-					return
-				}
-				p := loader.Fset().Position(d.Pos)
-				findings = append(findings, fmt.Sprintf("%s: [%s] %s", p, name, d.Message))
-			}
+			pass.Report = func(d analysis.Diagnostic) { report(a.Name, d) }
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
 		}
 	}
+
+	// unusedexport judges the targets by every use in the module, so
+	// it loads the whole module whatever the patterns were.
+	root, err := moduleRoot()
+	if err != nil {
+		return nil, err
+	}
+	module, err := loader.Load(filepath.Join(root, "..."))
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range unusedexport.Check(pkgs, module) {
+		report(unusedexport.Name, d)
+	}
 	sort.Strings(findings)
 	return findings, nil
+}
+
+// moduleRoot returns the directory of the main module's go.mod.
+func moduleRoot() (string, error) {
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		return "", fmt.Errorf("go env GOMOD: %v", err)
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return "", fmt.Errorf("not inside a module")
+	}
+	return filepath.Dir(gomod), nil
 }

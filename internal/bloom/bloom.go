@@ -6,14 +6,16 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // Filter is a fixed-size Bloom filter. The zero value is not usable; create
-// filters with New or NewWithEstimates.
+// filters with New or UnmarshalBinary.
 type Filter struct {
 	bits  []uint64
 	m     uint64 // number of bits
@@ -29,23 +31,6 @@ func New(m uint64, k uint32) *Filter {
 	}
 	words := (m + 63) / 64
 	return &Filter{bits: make([]uint64, words), m: words * 64, k: k}
-}
-
-// NewWithEstimates creates a filter sized for n elements at false-positive
-// probability p, using the optimal m = -n ln p / (ln 2)^2 and k = m/n ln 2.
-func NewWithEstimates(n uint64, p float64) *Filter {
-	if n == 0 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	k := uint32(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k == 0 {
-		k = 1
-	}
-	return New(m, k)
 }
 
 // hashes returns the two base hashes for data.
@@ -92,9 +77,6 @@ func (f *Filter) Test(data []byte) bool {
 // TestString reports whether s may be in the filter.
 func (f *Filter) TestString(s string) bool { return f.Test([]byte(s)) }
 
-// Count returns the number of Add calls made.
-func (f *Filter) Count() uint64 { return f.count }
-
 // Bits returns the filter size in bits.
 func (f *Filter) Bits() uint64 { return f.m }
 
@@ -105,7 +87,7 @@ func (f *Filter) K() uint32 { return f.k }
 func (f *Filter) FillRatio() float64 {
 	var ones uint64
 	for _, w := range f.bits {
-		ones += uint64(popcount(w))
+		ones += uint64(bits.OnesCount64(w))
 	}
 	return float64(ones) / float64(f.m)
 }
@@ -114,18 +96,6 @@ func (f *Filter) FillRatio() float64 {
 // given the current fill ratio: fill^k.
 func (f *Filter) EstimatedFalsePositiveRate() float64 {
 	return math.Pow(f.FillRatio(), float64(f.k))
-}
-
-// Union ORs other into f. Both filters must have identical geometry.
-func (f *Filter) Union(other *Filter) error {
-	if f.m != other.m || f.k != other.k {
-		return fmt.Errorf("bloom: incompatible union: %d/%d bits, %d/%d hashes", f.m, other.m, f.k, other.k)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.count += other.count
-	return nil
 }
 
 // Intersect ANDs other into f. Both filters must have identical geometry.
@@ -154,71 +124,50 @@ func (f *Filter) Clone() *Filter {
 	return out
 }
 
-// Clear resets the filter to empty.
-func (f *Filter) Clear() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
 // SizeBytes returns the in-memory size of the bit array, the quantity a
 // Gnutella leaf ships to its ultrapeer when publishing its keyword filter.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 
-// MarshalBinary encodes the filter geometry and bit array.
+// MarshalBinary encodes the filter as little-endian uint64s: bit count m,
+// hash count k, Add count, then the m/64 words of the bit array.
 func (f *Filter) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 0, 20+len(f.bits)*8)
-	out = appendUint64(out, f.m)
-	out = appendUint64(out, uint64(f.k))
-	out = appendUint64(out, f.count)
+	out := make([]byte, 0, 24+len(f.bits)*8)
+	out = binary.LittleEndian.AppendUint64(out, f.m)
+	out = binary.LittleEndian.AppendUint64(out, uint64(f.k))
+	out = binary.LittleEndian.AppendUint64(out, f.count)
 	for _, w := range f.bits {
-		out = appendUint64(out, w)
+		out = binary.LittleEndian.AppendUint64(out, w)
 	}
 	return out, nil
 }
 
-// UnmarshalBinary decodes a filter produced by MarshalBinary.
+// UnmarshalBinary decodes a filter produced by MarshalBinary. The bytes may
+// come from a peer, so it accepts only a geometry New could have made: m a
+// positive multiple of 64 that matches the buffer length, and k in
+// [1, 2³²). Anything else would make Test divide by zero, index past the
+// bit array, or re-encode differently.
 func (f *Filter) UnmarshalBinary(data []byte) error {
 	if len(data) < 24 {
 		return errors.New("bloom: short buffer")
 	}
-	m := readUint64(data[0:])
-	k := readUint64(data[8:])
-	count := readUint64(data[16:])
-	words := int((m + 63) / 64)
-	if len(data) != 24+words*8 {
+	m := binary.LittleEndian.Uint64(data[0:])
+	k := binary.LittleEndian.Uint64(data[8:])
+	count := binary.LittleEndian.Uint64(data[16:])
+	if m == 0 || m%64 != 0 {
+		return fmt.Errorf("bloom: bit count %d is not a positive multiple of 64", m)
+	}
+	if k == 0 || k > math.MaxUint32 {
+		return fmt.Errorf("bloom: hash count %d out of range", k)
+	}
+	if uint64(len(data)-24) != m/8 {
 		return fmt.Errorf("bloom: buffer length %d does not match %d bits", len(data), m)
 	}
 	f.m = m
 	f.k = uint32(k)
 	f.count = count
-	f.bits = make([]uint64, words)
+	f.bits = make([]uint64, m/64)
 	for i := range f.bits {
-		f.bits[i] = readUint64(data[24+8*i:])
+		f.bits[i] = binary.LittleEndian.Uint64(data[24+8*i:])
 	}
 	return nil
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
-}
-
-func readUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
-}
-
-func popcount(x uint64) int {
-	// Hacker's Delight bit-count; avoids importing math/bits for one call.
-	x -= (x >> 1) & 0x5555555555555555
-	x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333)
-	x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f
-	return int((x * 0x0101010101010101) >> 56)
 }

@@ -1,7 +1,11 @@
 package bloom
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -232,4 +236,83 @@ func BenchmarkTest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.TestString(fmt.Sprintf("key-%d", i%200000))
 	}
+}
+
+// TestMarshalBinaryGolden pins the wire bytes: pre-join filters travel in
+// chain messages and probe replies, so the encoding may not drift.
+func TestMarshalBinaryGolden(t *testing.T) {
+	f := New(128, 3)
+	f.AddString("madonna")
+	f.AddString("prayer")
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "8000000000000000" + "0300000000000000" + "0200000000000000" +
+		"0000001008040000" + "0000000220000200"
+	if got := hex.EncodeToString(data); got != want {
+		t.Errorf("MarshalBinary = %s, want %s", got, want)
+	}
+}
+
+// header builds a marshalled filter's 24-byte header followed by words
+// zero words.
+func header(m, k uint64, words int) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, m)
+	b = binary.LittleEndian.AppendUint64(b, k)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	return append(b, make([]byte, 8*words)...)
+}
+
+func TestUnmarshalRejectsHostileGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"zero bits", header(0, 1, 0)},
+		{"word count wraps", header(math.MaxUint64, 1, 0)},
+		{"bits not a multiple of 64", header(65, 1, 2)},
+		{"zero hashes", header(64, 0, 1)},
+		{"hashes overflow uint32", header(64, 1<<32+1, 1)},
+		{"length mismatch", header(128, 1, 1)},
+	} {
+		var f Filter
+		if err := f.UnmarshalBinary(tc.data); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	var f Filter
+	if err := f.UnmarshalBinary(header(64, 1, 1)); err != nil {
+		t.Errorf("minimal filter rejected: %v", err)
+	}
+}
+
+// FuzzUnmarshalBinary feeds peer-shaped bytes to the decoder: whatever it
+// accepts must answer TestString without panicking and re-encode to the
+// same bytes.
+func FuzzUnmarshalBinary(f *testing.F) {
+	valid, _ := New(128, 3).MarshalBinary()
+	f.Add(valid)
+	f.Add(header(0, 1, 0))
+	f.Add(header(math.MaxUint64, 1, 0))
+	f.Add(header(math.MaxUint64-63, 1, 0))
+	f.Add(header(65, 1, 2))
+	f.Add(header(64, 0, 1))
+	f.Add(header(64, math.MaxUint32, 1))
+	f.Add(header(64, 1<<32+1, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g Filter
+		if g.UnmarshalBinary(data) != nil {
+			return
+		}
+		out, err := g.MarshalBinary()
+		if err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("re-encoded %x, want %x (err %v)", out, data, err)
+		}
+		// Test loops k times: a huge k is legal here (the pier decoder
+		// bounds it) but too slow to run per input.
+		if g.K() <= 64 {
+			g.TestString("probe")
+		}
+	})
 }

@@ -10,7 +10,7 @@ import (
 // filename keywords and ships the filter to its ultrapeer, which then
 // forwards only plausibly-matching queries.
 func Example() {
-	f := bloom.NewWithEstimates(1000, 0.01)
+	f := bloom.New(1<<13, 4)
 	for _, keyword := range []string{"madonna", "like", "prayer"} {
 		f.AddString(keyword)
 	}

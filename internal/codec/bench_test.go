@@ -31,7 +31,6 @@ func BenchmarkAppendPrimitives(b *testing.B) {
 		dst = AppendVarint(dst, -int64(i))
 		dst = AppendString(dst, "inverted")
 		dst = AppendBytes(dst, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		dst = AppendFloat64(dst, 1.5)
 		size = len(dst)
 	}
 	b.ReportMetric(float64(size), "encoded-bytes/op")

@@ -3,7 +3,6 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"sync"
 )
 
@@ -17,11 +16,6 @@ func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(ds
 
 // AppendVarint appends v in zigzag varint form.
 func AppendVarint(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
-
-// AppendFloat64 appends f as 8 big-endian IEEE 754 bytes.
-func AppendFloat64(dst []byte, f float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
-}
 
 // AppendBytes appends b with a uvarint length prefix.
 func AppendBytes(dst, b []byte) []byte {
@@ -146,15 +140,6 @@ func (r *Reader) Varint() int64 {
 	}
 	r.buf = r.buf[n:]
 	return v
-}
-
-// Float64 reads 8 big-endian bytes as a float64.
-func (r *Reader) Float64() float64 {
-	raw := r.Take(8)
-	if r.err != nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(raw))
 }
 
 // Take returns the next n bytes without copying. The slice aliases the

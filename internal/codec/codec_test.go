@@ -14,7 +14,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	buf = AppendUvarint(buf, math.MaxUint64)
 	buf = AppendVarint(buf, -1)
 	buf = AppendVarint(buf, math.MinInt64)
-	buf = AppendFloat64(buf, 3.25)
 	buf = AppendBytes(buf, []byte{1, 2, 3})
 	buf = AppendBytes(buf, nil)
 	buf = AppendString(buf, "héllo")
@@ -36,9 +35,6 @@ func TestRoundTripPrimitives(t *testing.T) {
 	if got := r.Varint(); got != math.MinInt64 {
 		t.Errorf("Varint min = %d", got)
 	}
-	if got := r.Float64(); got != 3.25 {
-		t.Errorf("Float64 = %v", got)
-	}
 	if got := r.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", got)
 	}
@@ -57,21 +53,19 @@ func TestRoundTripPrimitives(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	f := func(u uint64, v int64, fl float64, b []byte, s string) bool {
+	f := func(u uint64, v int64, b []byte, s string) bool {
 		var buf []byte
 		buf = AppendUvarint(buf, u)
 		buf = AppendVarint(buf, v)
-		buf = AppendFloat64(buf, fl)
 		buf = AppendBytes(buf, b)
 		buf = AppendString(buf, s)
 		r := NewReader(buf)
-		gu, gv, gf := r.Uvarint(), r.Varint(), r.Float64()
+		gu, gv := r.Uvarint(), r.Varint()
 		gb, gs := r.Bytes(), r.String()
 		if r.Finish() != nil {
 			return false
 		}
-		floatOK := gf == fl || (math.IsNaN(gf) && math.IsNaN(fl))
-		return gu == u && gv == v && floatOK && bytes.Equal(gb, b) && gs == s
+		return gu == u && gv == v && bytes.Equal(gb, b) && gs == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -85,13 +79,11 @@ func TestTruncationNeverPanics(t *testing.T) {
 	var buf []byte
 	buf = AppendUvarint(buf, 1<<40)
 	buf = AppendString(buf, "a longer string payload")
-	buf = AppendFloat64(buf, 1.5)
 	buf = AppendBytes(buf, bytes.Repeat([]byte{7}, 33))
 	for i := 0; i < len(buf); i++ {
 		r := NewReader(buf[:i])
 		r.Uvarint()
 		_ = r.String()
-		r.Float64()
 		r.Bytes()
 		if err := r.Finish(); err == nil {
 			t.Fatalf("prefix %d decoded cleanly", i)

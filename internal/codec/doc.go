@@ -1,6 +1,6 @@
 // Package codec is the shared binary wire codec for every hot path in the
-// system: PIER's chain/probe/result messages, stored tuples, the DHT RPC
-// frames in package wire, and persisted traces. It replaces encoding/gob,
+// system: PIER's chain/probe/result messages, stored tuples and the DHT
+// RPC frames in package wire. It replaces encoding/gob,
 // whose per-stream type preamble (~300 B on a chain message) and reflective
 // field encoding inflated exactly the byte counts the paper's §5/§7
 // evaluation measures.
@@ -14,7 +14,6 @@
 //   - unsigned integers: LEB128 uvarint (binary.AppendUvarint)
 //   - signed integers:   zigzag varint (binary.AppendVarint)
 //   - strings / byte strings: uvarint length prefix, then the raw payload
-//   - float64: 8-byte big-endian IEEE 754 bits
 //   - fixed-width fields (hashes, node IDs): raw bytes, no prefix
 //
 // Every top-level message starts with a one-byte format version so formats

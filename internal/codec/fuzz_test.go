@@ -15,7 +15,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(AppendUvarint(nil, 0))
 	f.Add(AppendUvarint(nil, 1<<40))
 	f.Add(AppendVarint(nil, -12345))
-	f.Add(AppendFloat64(nil, 2.5))
+	f.Add([]byte{0x40, 0x04, 0, 0, 0, 0, 0, 0}) // fixed-width raw field
 	f.Add(AppendBytes(nil, []byte("payload")))
 	f.Add(AppendString(nil, "hello world"))
 	var mixed []byte

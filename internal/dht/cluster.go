@@ -61,41 +61,18 @@ func NewCluster(n int, seed int64, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// AddNode creates, registers and bootstraps one more node (churn: join).
-func (c *Cluster) AddNode(cfg Config) (*Node, error) {
-	info := NodeInfo{ID: SeededID(c.rng), Addr: fmt.Sprintf("node-%d", c.next)}
-	c.next++
-	node, err := buildNode(info, c.Net, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Net.Join(node)
-	if len(c.Nodes) > 0 {
-		if err := node.JoinNetwork([]NodeInfo{c.Nodes[0].Info()}); err != nil {
-			c.Net.Remove(node.Info().Addr)
-			node.Close() //nolint:errcheck // already failing
-			return nil, err
-		}
-	}
-	c.Nodes = append(c.Nodes, node)
-	return node, nil
-}
-
 // RemoveNode abruptly detaches the i-th node (churn: ungraceful leave).
 // The node's stored values are lost unless replicated elsewhere. The
 // node's storage is deliberately not closed — an ungraceful leave models
 // a crash, and disk-backed stores must recover from exactly this state.
+//
+//lint:allow unusedexport churn tests in pier and piersearch remove nodes with it
 func (c *Cluster) RemoveNode(i int) {
 	if i < 0 || i >= len(c.Nodes) {
 		return
 	}
 	c.Net.Remove(c.Nodes[i].Info().Addr)
 	c.Nodes = append(c.Nodes[:i], c.Nodes[i+1:]...)
-}
-
-// RandomNode returns a uniformly random live node.
-func (c *Cluster) RandomNode() *Node {
-	return c.Nodes[c.rng.Intn(len(c.Nodes))]
 }
 
 // Close closes every node's storage, returning the first error. Clusters

@@ -46,10 +46,9 @@ type Table = routing.Table
 // routing.TableStats.
 type TableStats = routing.TableStats
 
-// NewID hashes arbitrary bytes into the identifier space.
-func NewID(data []byte) ID { return routing.NewID(data) }
-
 // StringID hashes a string into the identifier space.
+//
+//lint:allow unusedexport tests across the module derive IDs with it
 func StringID(s string) ID { return routing.StringID(s) }
 
 // NamespacedID hashes a (namespace, key) pair into the identifier space.
@@ -65,19 +64,11 @@ func RandomID() ID { return routing.RandomID() }
 // reproducible simulations.
 func SeededID(rng *mrand.Rand) ID { return routing.SeededID(rng) }
 
-// Distance returns the XOR distance between two identifiers.
-func Distance(a, b ID) ID { return routing.Distance(a, b) }
-
 // Less reports whether a < b as big-endian 160-bit integers.
 func Less(a, b ID) bool { return routing.Less(a, b) }
 
 // Closer reports whether a is strictly closer to target than b under XOR.
 func Closer(a, b, target ID) bool { return routing.Closer(a, b, target) }
-
-// BucketIndex returns the index of the k-bucket that holds other relative
-// to self: the position of the highest differing bit, in [0, IDBits). It
-// returns -1 when the identifiers are equal.
-func BucketIndex(self, other ID) int { return routing.BucketIndex(self, other) }
 
 // NewTable creates a routing table for the node with identifier self and
 // bucket capacity k.

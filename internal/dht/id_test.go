@@ -4,16 +4,18 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"piersearch/internal/dht/routing"
 )
 
 func TestDistanceProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
 		a, b := SeededID(rng), SeededID(rng)
-		if Distance(a, a) != (ID{}) {
+		if routing.Distance(a, a) != (ID{}) {
 			t.Fatal("d(a,a) != 0")
 		}
-		if Distance(a, b) != Distance(b, a) {
+		if routing.Distance(a, b) != routing.Distance(b, a) {
 			t.Fatal("distance not symmetric")
 		}
 	}
@@ -23,7 +25,7 @@ func TestDistanceTriangleProperty(t *testing.T) {
 	// XOR metric satisfies d(a,c) <= d(a,b) XOR-combined; the standard
 	// Kademlia property is d(a,b) ^ d(b,c) == d(a,c).
 	prop := func(a, b, c ID) bool {
-		ab, bc, ac := Distance(a, b), Distance(b, c), Distance(a, c)
+		ab, bc, ac := routing.Distance(a, b), routing.Distance(b, c), routing.Distance(a, c)
 		for i := range ab {
 			if ab[i]^bc[i] != ac[i] {
 				return false
@@ -52,26 +54,26 @@ func TestLessTotalOrder(t *testing.T) {
 
 func TestBucketIndex(t *testing.T) {
 	self := ID{}
-	if got := BucketIndex(self, self); got != -1 {
-		t.Errorf("BucketIndex(self, self) = %d, want -1", got)
+	if got := routing.BucketIndex(self, self); got != -1 {
+		t.Errorf("routing.BucketIndex(self, self) = %d, want -1", got)
 	}
 	// Differ only in the lowest bit -> bucket 0.
 	other := ID{}
 	other[IDBytes-1] = 1
-	if got := BucketIndex(self, other); got != 0 {
+	if got := routing.BucketIndex(self, other); got != 0 {
 		t.Errorf("lowest-bit difference -> bucket %d, want 0", got)
 	}
 	// Differ in the highest bit -> bucket IDBits-1.
 	other = ID{}
 	other[0] = 0x80
-	if got := BucketIndex(self, other); got != IDBits-1 {
+	if got := routing.BucketIndex(self, other); got != IDBits-1 {
 		t.Errorf("highest-bit difference -> bucket %d, want %d", got, IDBits-1)
 	}
 }
 
 func TestBucketIndexRange(t *testing.T) {
 	prop := func(a, b ID) bool {
-		idx := BucketIndex(a, b)
+		idx := routing.BucketIndex(a, b)
 		if a == b {
 			return idx == -1
 		}
@@ -133,7 +135,7 @@ func TestIsZeroAndString(t *testing.T) {
 func TestCloserConsistentWithDistance(t *testing.T) {
 	prop := func(a, b, target ID) bool {
 		got := Closer(a, b, target)
-		want := Less(Distance(a, target), Distance(b, target))
+		want := Less(routing.Distance(a, target), routing.Distance(b, target))
 		return got == want
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

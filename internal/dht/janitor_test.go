@@ -26,7 +26,7 @@ func TestJanitorReclaimsExpired(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		node.LocalPut(StringID(fmt.Sprintf("k%d", i)), []byte("payload"))
 	}
-	if _, values, _ := node.StoreStats(); values != 20 {
+	if values := node.Storage().ValueCount(); values != 20 {
 		t.Fatalf("seeded %d values", values)
 	}
 
@@ -35,7 +35,7 @@ func TestJanitorReclaimsExpired(t *testing.T) {
 
 	// Values live while the virtual clock stands still.
 	time.Sleep(20 * time.Millisecond)
-	if _, values, _ := node.StoreStats(); values != 20 {
+	if values := node.Storage().ValueCount(); values != 20 {
 		t.Fatalf("janitor removed live values: %d left", values)
 	}
 
@@ -44,7 +44,7 @@ func TestJanitorReclaimsExpired(t *testing.T) {
 	now.Store(int64(2 * time.Second))
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, values, bytes := node.StoreStats()
+		values, bytes := node.Storage().ValueCount(), node.Storage().Bytes()
 		if values == 0 && bytes == 0 {
 			break
 		}

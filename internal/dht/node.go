@@ -261,11 +261,6 @@ func (n *Node) Config() Config { return n.info }
 // TableLen returns the number of routing-table contacts.
 func (n *Node) TableLen() int { return n.table.Len() }
 
-// StoreStats returns (keys, values, payload bytes) held locally.
-func (n *Node) StoreStats() (keys, values, bytes int) {
-	return n.store.Len(), n.store.ValueCount(), n.store.Bytes()
-}
-
 // ExpireNow sweeps the local store for TTL-expired values immediately and
 // returns how many were removed. Reclaimed entries accumulate into
 // JanitorStats whether the sweep was manual or ticker-driven.
@@ -719,6 +714,8 @@ func (n *Node) selfAmongClosest(key ID, closest []NodeInfo) bool {
 }
 
 // GetContext retrieves all values stored under the (namespace, key) pair.
+//
+//lint:allow unusedexport the simnet and wire transport tests read values back with it
 func (n *Node) GetContext(ctx context.Context, namespace, key string) ([]StoredValue, LookupStats, error) {
 	return n.GetIDContext(ctx, NamespacedID(namespace, key))
 }
@@ -859,6 +856,8 @@ func (n *Node) HandleApp(app string, data []byte) ([]byte, error) {
 // so the RPC sequence is reproducible run-over-run. The cheaper
 // table-local RepublishTick is what the maintenance loop runs; Republish
 // remains for explicit full repair.
+//
+//lint:allow unusedexport the pier churn and store restart tests republish with it
 func (n *Node) Republish() (int, LookupStats) {
 	keys := n.store.Keys()
 	sort.Slice(keys, func(i, j int) bool { return Less(keys[i], keys[j]) })

@@ -124,9 +124,6 @@ func (t *Table) now() time.Duration {
 	return t.clock()
 }
 
-// Self returns the owner's identifier.
-func (t *Table) Self() ID { return t.self }
-
 // K returns the bucket capacity.
 func (t *Table) K() int { return t.k }
 
@@ -194,17 +191,6 @@ func (t *Table) Evict(id ID) {
 		b.entries = append(b.entries, promoted)
 		t.counters.Promotions++
 	}
-}
-
-// Contains reports whether id is in the table.
-func (t *Table) Contains(id ID) bool {
-	idx := BucketIndex(t.self, id)
-	if idx < 0 {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.buckets[idx].indexOf(id) >= 0
 }
 
 // Len returns the total number of contacts.

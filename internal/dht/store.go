@@ -20,11 +20,6 @@ func (v StoredValue) expired(now time.Duration) bool {
 	return v.TTL > 0 && now > v.StoredAt+v.TTL
 }
 
-// Expired reports whether v is past its TTL at time now. It is the
-// exported form of the expiry rule so Storage implementations outside this
-// package apply exactly the same semantics.
-func (v StoredValue) Expired(now time.Duration) bool { return v.expired(now) }
-
 // Storage is the contract a node-local value store must satisfy. A key
 // maps to a set of values deduplicated by (publisher, payload): Put with a
 // matching pair refreshes StoredAt/TTL in place rather than appending.

@@ -56,14 +56,6 @@ func NewLocalNetwork(seed int64) *LocalNetwork {
 	}
 }
 
-// SetFailureProbability makes each Call fail independently with probability
-// p, modelling lossy links or overloaded nodes.
-func (ln *LocalNetwork) SetFailureProbability(p float64) {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	ln.failProb = p
-}
-
 // Join registers n so other nodes can reach it.
 func (ln *LocalNetwork) Join(n *Node) {
 	ln.mu.Lock()
@@ -76,21 +68,6 @@ func (ln *LocalNetwork) Remove(addr string) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	delete(ln.nodes, addr)
-}
-
-// Lookup returns the registered node at addr, if any.
-func (ln *LocalNetwork) Lookup(addr string) (*Node, bool) {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	n, ok := ln.nodes[addr]
-	return n, ok
-}
-
-// Len returns the number of registered nodes.
-func (ln *LocalNetwork) Len() int {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	return len(ln.nodes)
 }
 
 // Stats returns a copy of the traffic counters.

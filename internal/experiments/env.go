@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation. Each Figure* function regenerates one artefact's data series;
-// the cmd/ binaries print them and the root benchmarks time them. See
-// DESIGN.md §4 for the experiment index and EXPERIMENTS.md for measured
-// results against the paper's numbers.
+// the cmd/ binaries print them and the root benchmarks time them. README's
+// "Paper section → package map" indexes the experiments; ROADMAP item 14
+// tracks measured results against the paper's numbers.
 package experiments
 
 import (

@@ -118,7 +118,7 @@ func TestFigure7RareSlowerThanPopular(t *testing.T) {
 	}
 	// Shape: rare items several times slower than popular ones. (Absolute
 	// values grow with network depth; the full-scale run lands in the
-	// paper's 6s / 73s regime — see EXPERIMENTS.md.)
+	// paper's 6s / 73s regime.)
 	if smallest.Y < 2.5*largest.Y {
 		t.Errorf("rare latency %.1fs not well above popular %.1fs", smallest.Y, largest.Y)
 	}

@@ -1,16 +1,13 @@
 package gnutella
 
-import (
-	"time"
+import "piersearch/internal/simnet"
 
-	"piersearch/internal/simnet"
-)
-
-// This file adds churn and the BrowseHost API to the event-driven overlay.
+// This file holds the overlay's BrowseHost and Ping/Pong message
+// handling. Only tests start a browse or a ping, and only tests detach an
+// ultrapeer.
 
 // browseMsg asks an ultrapeer for the file list of one of its hosts; the
-// reply carries the list back (the BrowseHost API the hybrid client uses
-// to gather leaf file information, §7).
+// reply carries the list back (the BrowseHost API of §7).
 type browseMsg struct {
 	Target  HostID
 	ReplyTo HostID
@@ -20,45 +17,6 @@ type browseMsg struct {
 type browseReply struct {
 	Seq   uint64
 	Files []SharedFile
-}
-
-// DetachUltrapeer removes an ultrapeer from the overlay mid-run: queries
-// in flight toward it are dropped by the network, and it no longer
-// forwards or answers. Its leaves go dark with it (they publish their
-// file lists only to their ultrapeer).
-func (n *Network) DetachUltrapeer(u HostID) {
-	n.net.Detach(simnet.NodeID(u))
-}
-
-// AttachUltrapeer re-attaches a previously detached ultrapeer (a rejoin;
-// its protocol state survives, as LimeWire keeps its library on restart).
-func (n *Network) AttachUltrapeer(u HostID) {
-	st := n.ups[u]
-	n.net.Attach(simnet.NodeID(u), func(m simnet.Message) { n.deliver(st, m) })
-}
-
-// Alive reports whether an ultrapeer is currently attached.
-func (n *Network) Alive(u HostID) bool { return n.net.Attached(simnet.NodeID(u)) }
-
-// BrowseHost requests target's file list via its ultrapeer, calling cb
-// with the list when the reply arrives (or never, if the ultrapeer is
-// detached). It returns immediately; run the simulator to make progress.
-func (n *Network) BrowseHost(from HostID, target HostID, cb func([]SharedFile)) {
-	n.nextGUID++
-	seq := n.nextGUID
-	n.browseWaiters[seq] = cb
-	fromUP := n.topo.UltrapeerOf(from)
-	targetUP := n.topo.UltrapeerOf(target)
-	msg := browseMsg{Target: target, ReplyTo: fromUP, Seq: seq}
-	if fromUP == targetUP {
-		// Local: still schedule through the clock for uniform latency.
-		n.Sim.After(0, func() { n.handleBrowse(n.ups[targetUP], msg) })
-		return
-	}
-	n.net.Send(simnet.Message{
-		From: simnet.NodeID(fromUP), To: simnet.NodeID(targetUP),
-		Kind: "browse", Payload: msg, Size: 40,
-	})
 }
 
 func (n *Network) handleBrowse(st *upState, msg browseMsg) {
@@ -81,19 +39,6 @@ func (n *Network) deliverBrowseReply(reply browseReply) {
 	}
 	delete(n.browseWaiters, reply.Seq)
 	cb(reply.Files)
-}
-
-// PingPong measures the round-trip time to a neighbouring ultrapeer using
-// the overlay's Ping/Pong descriptors, calling cb with the RTT.
-func (n *Network) PingPong(from, to HostID, cb func(rtt time.Duration)) {
-	start := n.Sim.Now()
-	n.nextGUID++
-	seq := n.nextGUID
-	n.pongWaiters[seq] = func() { cb(n.Sim.Now() - start) }
-	n.net.Send(simnet.Message{
-		From: simnet.NodeID(from), To: simnet.NodeID(to),
-		Kind: "ping", Payload: pingMsg{Seq: seq, ReplyTo: from}, Size: 23,
-	})
 }
 
 type pingMsg struct {

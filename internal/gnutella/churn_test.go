@@ -1,116 +1,9 @@
 package gnutella
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
-
-func capableCap() Capability {
-	return Capability{
-		UptimeMinutes:    120,
-		DownstreamKbps:   512,
-		UpstreamKbps:     128,
-		AcceptedIncoming: true,
-		ModernOS:         true,
-	}
-}
-
-func TestUltrapeerCapable(t *testing.T) {
-	if !capableCap().UltrapeerCapable() {
-		t.Error("fully capable node not capable")
-	}
-	cases := []func(*Capability){
-		func(c *Capability) { c.UptimeMinutes = 5 },
-		func(c *Capability) { c.DownstreamKbps = 30 },
-		func(c *Capability) { c.UpstreamKbps = 10 },
-		func(c *Capability) { c.AcceptedIncoming = false },
-		func(c *Capability) { c.ModernOS = false },
-	}
-	for i, mutate := range cases {
-		c := capableCap()
-		mutate(&c)
-		if c.UltrapeerCapable() {
-			t.Errorf("case %d: deficient node reported capable", i)
-		}
-	}
-}
-
-func TestHandshakeRoundTrip(t *testing.T) {
-	h := NewHandshake(capableCap(), true)
-	wire := h.Encode()
-	if !strings.HasPrefix(wire, "GNUTELLA CONNECT/0.6\r\n") {
-		t.Fatalf("wire form: %q", wire)
-	}
-	got, err := ParseHandshake(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.IsUltrapeer() || !got.UltrapeerCapable() {
-		t.Errorf("parsed headers: %v", got.Headers)
-	}
-	leaf := NewHandshake(Capability{}, false)
-	got, err = ParseHandshake(leaf.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.IsUltrapeer() || got.UltrapeerCapable() {
-		t.Errorf("leaf handshake parsed as ultrapeer: %v", got.Headers)
-	}
-}
-
-func TestParseHandshakeErrors(t *testing.T) {
-	if _, err := ParseHandshake("HTTP/1.1 200 OK\r\n\r\n"); err == nil {
-		t.Error("non-gnutella handshake accepted")
-	}
-	if _, err := ParseHandshake("GNUTELLA CONNECT/0.6\r\nbroken header\r\n\r\n"); err == nil {
-		t.Error("malformed header accepted")
-	}
-}
-
-func TestLeafGuidance(t *testing.T) {
-	if LeafGuidance(true)["X-Ultrapeer-Needed"] != "False" {
-		t.Error("spare capacity should demote the connecting node")
-	}
-	if LeafGuidance(false)["X-Ultrapeer-Needed"] != "True" {
-		t.Error("full ultrapeer should promote the connecting node")
-	}
-}
-
-func TestElectQuotaAndPreference(t *testing.T) {
-	caps := make([]Capability, 100)
-	for i := range caps {
-		caps[i] = capableCap()
-		caps[i].UptimeMinutes = i // later nodes are longer-lived
-	}
-	// A third are not capable at all.
-	for i := 0; i < 33; i++ {
-		caps[i].AcceptedIncoming = false
-	}
-	elected := Elect(caps, 30)
-	want := 100 / 31
-	if len(elected) != want {
-		t.Fatalf("elected %d, want %d", len(elected), want)
-	}
-	// Preference: the highest-uptime capable nodes win.
-	for _, idx := range elected {
-		if caps[idx].UptimeMinutes < 90 {
-			t.Errorf("low-uptime node %d elected over higher-uptime peers", idx)
-		}
-		if !caps[idx].UltrapeerCapable() {
-			t.Errorf("incapable node %d elected", idx)
-		}
-	}
-}
-
-func TestElectFewCapable(t *testing.T) {
-	caps := make([]Capability, 50)
-	caps[7] = capableCap()
-	elected := Elect(caps, 30)
-	if len(elected) != 1 || elected[0] != 7 {
-		t.Errorf("elected = %v, want just node 7", elected)
-	}
-}
 
 func TestChurnDetachedUltrapeerStopsAnswering(t *testing.T) {
 	topo := smallTopo(t)

@@ -1,7 +1,6 @@
 package gnutella
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -77,22 +76,6 @@ func GenerateChurn(cfg ChurnConfig) ChurnSchedule {
 	return s
 }
 
-// AllDownEpoch returns a schedule that takes every host down at from and
-// brings every host back at until (when until > from and within the
-// horizon) — the harshest correlated-failure scenario, used to pin that
-// consumers survive a window with zero live hosts.
-func AllDownEpoch(hosts int, horizon, from, until time.Duration) ChurnSchedule {
-	s := ChurnSchedule{Hosts: hosts, Horizon: horizon}
-	for h := 0; h < hosts; h++ {
-		s.Events = append(s.Events, ChurnEvent{Host: h, At: from, Up: false})
-		if until > from && until < horizon {
-			s.Events = append(s.Events, ChurnEvent{Host: h, At: until, Up: true})
-		}
-	}
-	s.sortEvents()
-	return s
-}
-
 func (s *ChurnSchedule) sortEvents() {
 	sort.SliceStable(s.Events, func(i, j int) bool {
 		if s.Events[i].At != s.Events[j].At {
@@ -100,57 +83,6 @@ func (s *ChurnSchedule) sortEvents() {
 		}
 		return s.Events[i].Host < s.Events[j].Host
 	})
-}
-
-// Validate checks internal consistency: host indices in range, event times
-// within [0, Horizon), events sorted, and per-host transitions strictly
-// alternating starting from up.
-func (s ChurnSchedule) Validate() error {
-	state := make(map[int]bool, s.Hosts) // host -> currently up
-	var prev time.Duration
-	for i, ev := range s.Events {
-		if ev.Host < 0 || ev.Host >= s.Hosts {
-			return fmt.Errorf("gnutella: churn event %d: host %d out of range [0,%d)", i, ev.Host, s.Hosts)
-		}
-		if ev.At < 0 || ev.At >= s.Horizon {
-			return fmt.Errorf("gnutella: churn event %d: time %v outside [0,%v)", i, ev.At, s.Horizon)
-		}
-		if ev.At < prev {
-			return fmt.Errorf("gnutella: churn event %d: unsorted (at %v after %v)", i, ev.At, prev)
-		}
-		prev = ev.At
-		up, seen := state[ev.Host]
-		if !seen {
-			up = true
-		}
-		if ev.Up == up {
-			return fmt.Errorf("gnutella: churn event %d: host %d already %s", i, ev.Host, upness(up))
-		}
-		state[ev.Host] = ev.Up
-	}
-	return nil
-}
-
-func upness(up bool) string {
-	if up {
-		return "up"
-	}
-	return "down"
-}
-
-// AliveAt replays the schedule and reports whether host is up at time t
-// (events at exactly t have taken effect).
-func (s ChurnSchedule) AliveAt(host int, t time.Duration) bool {
-	up := true
-	for _, ev := range s.Events {
-		if ev.At > t {
-			break
-		}
-		if ev.Host == host {
-			up = ev.Up
-		}
-	}
-	return up
 }
 
 // MaxDownFrac returns the largest fraction of hosts simultaneously down at
@@ -178,48 +110,4 @@ func (s ChurnSchedule) MaxDownFrac() float64 {
 		i = j
 	}
 	return float64(maxDown) / float64(s.Hosts)
-}
-
-// Downtime returns the total down-duration of host over the schedule's
-// horizon (a host down at the final event stays down until the horizon).
-func (s ChurnSchedule) Downtime(host int) time.Duration {
-	var total time.Duration
-	up := true
-	var wentDown time.Duration
-	for _, ev := range s.Events {
-		if ev.Host != host {
-			continue
-		}
-		if up && !ev.Up {
-			wentDown = ev.At
-		} else if !up && ev.Up {
-			total += ev.At - wentDown
-		}
-		up = ev.Up
-	}
-	if !up {
-		total += s.Horizon - wentDown
-	}
-	return total
-}
-
-// ScheduleChurn applies the schedule to the overlay: event i detaches or
-// re-attaches ultrapeer ups[ev.Host] at virtual time ev.At on the
-// network's simulator. Hosts beyond len(ups) are ignored, so a schedule
-// generated for a larger population can drive a smaller overlay.
-func (n *Network) ScheduleChurn(s ChurnSchedule, ups []HostID) {
-	for _, ev := range s.Events {
-		if ev.Host >= len(ups) {
-			continue
-		}
-		id := ups[ev.Host]
-		up := ev.Up
-		n.Sim.At(ev.At, func() {
-			if up {
-				n.AttachUltrapeer(id)
-			} else {
-				n.DetachUltrapeer(id)
-			}
-		})
-	}
 }

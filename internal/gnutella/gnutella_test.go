@@ -178,14 +178,14 @@ func TestQRPSuppressesNonMatchingLeaves(t *testing.T) {
 	leaf := 200
 	u := topo.UltrapeerOf(leaf)
 	lib := libWith(t, topo, map[HostID][]string{leaf: {"unique filename.mp3"}})
-	bytes := lib.BuildQRP(1024, 3)
+	qrp, bytes := lib.BuildQRP(1024, 3)
 	if bytes <= 0 {
 		t.Fatal("QRP build shipped no bytes")
 	}
-	if !lib.QRPAdmits(u, leaf, []string{"unique"}) {
+	if !qrp.Admits(u, leaf, []string{"unique"}) {
 		t.Error("QRP rejected a term the leaf shares (false negative)")
 	}
-	if lib.QRPAdmits(u, leaf, []string{"definitely-not-there-xyz"}) {
+	if qrp.Admits(u, leaf, []string{"definitely-not-there-xyz"}) {
 		t.Error("QRP admitted an absent term (statistically near-impossible at this size)")
 	}
 }

@@ -1,7 +1,6 @@
 package gnutella
 
 import (
-	"piersearch/internal/bloom"
 	"piersearch/internal/piersearch"
 )
 
@@ -23,9 +22,8 @@ type FileRef struct {
 type Library struct {
 	topo      *Topology
 	tokenizer piersearch.Tokenizer
-	files     [][]SharedFile             // per host
-	upIndex   []map[string][]FileRef     // per ultrapeer: term -> refs in its subtree
-	qrp       []map[HostID]*bloom.Filter // optional per-UP leaf Bloom filters
+	files     [][]SharedFile         // per host
+	upIndex   []map[string][]FileRef // per ultrapeer: term -> refs in its subtree
 }
 
 // NewLibrary creates an empty library over topo.
@@ -108,57 +106,4 @@ func (l *Library) matches(ref FileRef, terms []string) bool {
 		}
 	}
 	return true
-}
-
-// BuildQRP builds per-leaf keyword Bloom filters and returns the total
-// bytes leaves would ship to their ultrapeers — the Query Routing Protocol
-// publishing cost footnote 2 of the paper describes.
-func (l *Library) BuildQRP(bitsPerLeaf uint64, hashes uint32) int {
-	l.qrp = make([]map[HostID]*bloom.Filter, l.topo.NumUltrapeers())
-	total := 0
-	for u := 0; u < l.topo.NumUltrapeers(); u++ {
-		l.qrp[u] = make(map[HostID]*bloom.Filter)
-		for _, leaf := range l.topo.UPLeaves[u] {
-			f := bloom.New(bitsPerLeaf, hashes)
-			for _, sf := range l.files[leaf] {
-				for _, term := range l.tokenizer.Tokenize(sf.Name) {
-					f.AddString(term)
-				}
-			}
-			l.qrp[u][leaf] = f
-			total += f.SizeBytes()
-		}
-	}
-	return total
-}
-
-// QRPAdmits reports whether ultrapeer u's Bloom filter for leaf admits all
-// query terms (true when QRP is not built: no filter, no suppression).
-func (l *Library) QRPAdmits(u, leaf HostID, terms []string) bool {
-	if l.qrp == nil {
-		return true
-	}
-	f, ok := l.qrp[u][leaf]
-	if !ok {
-		return true
-	}
-	for _, term := range terms {
-		if !f.TestString(term) {
-			return false
-		}
-	}
-	return true
-}
-
-// ReplicaCount returns, for each distinct filename, the number of replicas
-// in the whole network — the ground truth the Perfect scheme and the
-// model experiments use.
-func (l *Library) ReplicaCount() map[string]int {
-	counts := make(map[string]int)
-	for _, fs := range l.files {
-		for _, f := range fs {
-			counts[f.Name]++
-		}
-	}
-	return counts
 }

@@ -140,9 +140,6 @@ func NewNetwork(topo *Topology, lib *Library, cfg NetworkConfig) *Network {
 	return n
 }
 
-// Stats exposes the underlying traffic counters.
-func (n *Network) Stats() simnet.Stats { return n.net.Stats() }
-
 // Query injects a query at origin (a leaf enters via its ultrapeer) and
 // returns its outcome, which fills in as the simulation advances. Run the
 // simulator (n.Sim.Run or RunUntil) to make progress.

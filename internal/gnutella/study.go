@@ -107,38 +107,6 @@ func FloodCosts(t *Topology, src HostID, maxTTL int) []FloodCost {
 	return out
 }
 
-// HorizonForFraction returns the smallest TTL whose reach from src covers
-// at least frac of all ultrapeers, and the reach set at that TTL. The
-// model experiments express horizons as a fraction of the network (§6.2's
-// "horizon percent").
-func HorizonForFraction(t *Topology, src HostID, frac float64) (int, []HostID) {
-	depth := BFSDepths(t, src)
-	want := int(frac * float64(t.NumUltrapeers()))
-	if want < 1 {
-		want = 1
-	}
-	maxD := 0
-	for _, d := range depth {
-		if d > maxD {
-			maxD = d
-		}
-	}
-	count := make([]int, maxD+2)
-	for _, d := range depth {
-		if d >= 0 {
-			count[d]++
-		}
-	}
-	cum := 0
-	for ttl := 0; ttl <= maxD; ttl++ {
-		cum += count[ttl]
-		if cum >= want {
-			return ttl, ReachSet(t, src, ttl)
-		}
-	}
-	return maxD, ReachSet(t, src, maxD)
-}
-
 // FirstMatchDepth returns the BFS depth (from vantage) of the nearest
 // ultrapeer whose subtree shares a file matching terms, or -1 if none
 // does. This drives the first-result latency model: dynamic querying must

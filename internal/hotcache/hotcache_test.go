@@ -258,25 +258,25 @@ func TestSingleflightWaiterCancel(t *testing.T) {
 func TestSketchHotDetection(t *testing.T) {
 	fc := &fakeClock{}
 	s := NewSketch(256, 10*time.Second, fc.Now)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 19; i++ {
 		s.Observe("madonna")
 	}
 	s.Observe("obscure-term")
-	if got := s.Estimate("madonna"); got < 20 {
+	if got := s.Observe("madonna"); got < 20 {
 		t.Fatalf("hot estimate = %d, want >= 20", got)
 	}
-	if got := s.Estimate("never-seen"); got != 0 {
-		t.Fatalf("cold estimate = %d, want 0", got)
+	if got := s.Observe("never-seen"); got != 1 {
+		t.Fatalf("cold estimate = %d, want 1", got)
 	}
 	// Decay: after a full window, the estimate has halved twice.
 	fc.Advance(10 * time.Second)
-	if got := s.Estimate("madonna"); got > 5 {
-		t.Fatalf("post-window estimate = %d, want <= 5", got)
+	if got := s.Observe("madonna"); got > 6 {
+		t.Fatalf("post-window estimate = %d, want <= 6", got)
 	}
 	// Long idle: counters reset entirely.
 	fc.Advance(time.Hour)
-	if got := s.Estimate("madonna"); got != 0 {
-		t.Fatalf("post-idle estimate = %d, want 0", got)
+	if got := s.Observe("madonna"); got != 1 {
+		t.Fatalf("post-idle estimate = %d, want 1", got)
 	}
 }
 

@@ -65,28 +65,6 @@ func (s *Sketch) Observe(key string) int {
 	return int(est)
 }
 
-// Estimate returns the current estimate for key without recording a
-// request.
-func (s *Sketch) Estimate(key string) int {
-	h1, h2 := sketchHash(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.decayLocked()
-	if s.rows == nil {
-		return 0
-	}
-	est := ^uint32(0)
-	for i := range s.rows {
-		if s.rows[i] == nil {
-			return 0
-		}
-		if v := s.rows[i][(h1+uint32(i)*h2)%s.width]; v < est {
-			est = v
-		}
-	}
-	return int(est)
-}
-
 // decayLocked halves every counter once per elapsed half-window; after a
 // long idle stretch it clears instead of looping.
 func (s *Sketch) decayLocked() {

@@ -27,10 +27,6 @@ type Options struct {
 	// HotThreshold is the sketch estimate at which a key counts as hot
 	// and reads fan out across its replicas (default 8).
 	HotThreshold int
-	// Replicas is the fan-out width for hot keys: how many of the
-	// closest holders share the read load (default 3, matching the
-	// harness's replicate=3 placement).
-	Replicas int
 	// Clock supplies time (nil = monotonic wall clock).
 	Clock Clock
 	// Wait overrides how singleflight waiters block (nil = channel
@@ -60,9 +56,6 @@ func (o Options) withDefaults() Options {
 	if o.HotThreshold <= 0 {
 		o.HotThreshold = 8
 	}
-	if o.Replicas <= 0 {
-		o.Replicas = 3
-	}
 	if o.Clock == nil {
 		o.Clock = monotonic()
 	}
@@ -80,7 +73,6 @@ type Tier struct {
 	Sketch  *Sketch
 
 	hotThreshold int
-	replicas     int
 	rr           atomic.Uint64
 	fanout       atomic.Int64
 }
@@ -96,16 +88,12 @@ func NewTier(opts Options) *Tier {
 		Flights:      &Group{Wait: opts.Wait},
 		Sketch:       NewSketch(opts.SketchWidth, opts.Window, opts.Clock),
 		hotThreshold: opts.HotThreshold,
-		replicas:     opts.Replicas,
 	}
 	return t
 }
 
 // HotThreshold is the sketch estimate at which a key counts as hot.
 func (t *Tier) HotThreshold() int { return t.hotThreshold }
-
-// Replicas is the fan-out width for hot-key reads.
-func (t *Tier) Replicas() int { return t.replicas }
 
 // NextFanout picks the replica rank for one hot read, round-robin, and
 // counts reads diverted away from rank 0 (the XOR-closest owner).

@@ -55,17 +55,3 @@ type Diagnostic struct {
 	Pos     token.Pos
 	Message string
 }
-
-// Preorder calls fn for every node in every file of the pass, in
-// depth-first preorder — the subset of x/tools' inspect pass the
-// piervet analyzers need.
-func (p *Pass) Preorder(fn func(ast.Node)) {
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n != nil {
-				fn(n)
-			}
-			return true
-		})
-	}
-}

@@ -1,4 +1,4 @@
-// Package lint hosts piervet, a suite of six custom analyzers that
+// Package lint hosts piervet, a suite of seven custom analyzers that
 // machine-check invariants this repo used to enforce only by review
 // comment. Each analyzer lives in its own subpackage with a doc.go
 // spelling out the invariant, analysistest-style fixtures under
@@ -9,7 +9,7 @@
 // golang.org/x/tools/go/analysis that the analyzers need (Analyzer,
 // Pass, Diagnostic), and internal/lint/load type-checks packages from
 // source on top of `go list -e -json -deps`. cmd/piervet wires all
-// six into one multichecker; CI runs `go run ./cmd/piervet ./...` as
+// seven into one multichecker; CI runs `go run ./cmd/piervet ./...` as
 // a required job beside gofmt, vet, and staticcheck.
 //
 // # The analyzers
@@ -50,6 +50,17 @@
 // metricnames (origin: PR 9, telemetry). Registry.Counter/Gauge/
 // Histogram names must be compile-time constants: a name built at
 // call time mints unbounded registry entries.
+//
+// unusedexport (origin: ROADMAP 9(h), dead exports). Nothing exported
+// from internal/ may lack a non-test use in the module: packages there
+// cannot be imported from outside, so an export only tests call is dead
+// code that its tests keep alive. Methods that satisfy an interface of
+// the module or of a package it imports are exempt, and so are packages
+// named *test. Its verdict on one package needs the whole module, so it
+// is not a per-package Analyzer: piervet calls unusedexport.Check once
+// over every loaded package, with the module's uses loaded from ./...
+// whatever the patterns. A helper only its own package's tests need
+// belongs in export_test.go.
 //
 // # Suppressing a finding
 //

@@ -15,6 +15,7 @@ package linttest
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"regexp"
 	"strings"
@@ -57,11 +58,38 @@ func runOne(t *testing.T, l *load.Loader, a *analysis.Analyzer, pkg *load.Packag
 		t.Fatalf("%s: analyzer failed on %s: %v", a.Name, pkg.ImportPath, err)
 	}
 
-	allows := analysis.ParseAllows(fset, pkg.Files)
-	wants := collectWants(t, fset, pkg)
+	match(t, fset, a.Name, pkg.Files, diags)
+}
+
+// RunModule loads the fixture packages as one module, hands them all to
+// check as both targets and module (the shape of unusedexport.Check),
+// and matches its diagnostics against the want comments of every
+// fixture file.
+func RunModule(t *testing.T, srcRoot, name string, check func(targets, module []*load.Package) []analysis.Diagnostic, fixturePkgs ...string) {
+	t.Helper()
+	l := &load.Loader{OverlayRoot: srcRoot}
+	var pkgs []*load.Package
+	var files []*ast.File
+	for _, path := range fixturePkgs {
+		pkg, err := l.LoadOne(path)
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", path, err)
+		}
+		pkgs = append(pkgs, pkg)
+		files = append(files, pkg.Files...)
+	}
+	match(t, l.Fset(), name, files, check(pkgs, pkgs))
+}
+
+// match filters diags through the files' allow directives and pairs
+// the rest with the files' want comments; anything unpaired fails t.
+func match(t *testing.T, fset *token.FileSet, name string, files []*ast.File, diags []analysis.Diagnostic) {
+	t.Helper()
+	allows := analysis.ParseAllows(fset, files)
+	wants := collectWants(t, fset, files)
 
 	for _, d := range diags {
-		if allows.Suppressed(fset, a.Name, d.Pos) {
+		if allows.Suppressed(fset, name, d.Pos) {
 			continue
 		}
 		pos := fset.Position(d.Pos)
@@ -76,13 +104,13 @@ func runOne(t *testing.T, l *load.Loader, a *analysis.Analyzer, pkg *load.Packag
 			break
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", a.Name, pos.Filename, pos.Line, d.Message)
+			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", name, pos.Filename, pos.Line, d.Message)
 		}
 	}
 	for key, ws := range wants {
 		for _, w := range ws {
 			if !w.used {
-				t.Errorf("%s: expected diagnostic matching %q at %s:%d, got none", a.Name, w.re.String(), key.file, key.line)
+				t.Errorf("%s: expected diagnostic matching %q at %s:%d, got none", name, w.re.String(), key.file, key.line)
 			}
 		}
 	}
@@ -100,10 +128,10 @@ type want struct {
 
 var wantRE = regexp.MustCompile("// want `([^`]*)`")
 
-func collectWants(t *testing.T, fset *token.FileSet, pkg *load.Package) map[posKey][]want {
+func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[posKey][]want {
 	t.Helper()
 	wants := map[posKey][]want{}
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				for _, m := range wantRE.FindAllStringSubmatch(c.Text, -1) {

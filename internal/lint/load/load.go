@@ -200,13 +200,16 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.check(path, false)
 }
 
-// check type-checks path (memoized). Target packages keep full
-// types.Info and parsed files; dependencies keep only the
-// *types.Package.
+// check type-checks path (memoized). Targets and every package
+// outside the standard library keep full types.Info, so a module
+// package is checked once whichever role it is first loaded in and
+// its types stay identical across the packages that import it;
+// standard-library dependencies keep only the *types.Package.
 func (l *Loader) check(path string, target bool) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
+	target = target || !l.standard(path)
 	if p, ok := l.byPath[path]; ok {
 		if target && l.infos[path] == nil {
 			// Previously loaded as a bare dependency; re-check with
@@ -248,6 +251,16 @@ func (l *Loader) check(path string, target bool) (*types.Package, error) {
 	l.parsed[path] = parsed
 	l.errs[path] = softErrs
 	return tp, nil
+}
+
+// standard reports whether go list placed path in the standard
+// library.
+func (l *Loader) standard(path string) bool {
+	lp, ok := l.listed[path]
+	if !ok {
+		lp, ok = l.listed["vendor/"+path]
+	}
+	return ok && lp.Standard
 }
 
 // resolve maps an import path to a directory and file list: overlay

@@ -79,23 +79,12 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of samples observed.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Sum returns the sum of all observed samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the arithmetic mean (0 for an empty histogram).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Min returns the smallest observed sample (NaN when empty).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.min
 }
 
 // Max returns the largest observed sample (NaN when empty).
@@ -147,32 +136,4 @@ func (h *Histogram) clamp(v float64) float64 {
 		return h.mx
 	}
 	return v
-}
-
-// Merge folds other into h. The two histograms must share geometry
-// (identical lo, hi and growth factor), or an error is returned and h is
-// unchanged.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other == nil {
-		return nil
-	}
-	if h.lo != other.lo || h.hi != other.hi || h.ratio != other.ratio || len(h.counts) != len(other.counts) {
-		return fmt.Errorf("metrics: histogram geometry mismatch: [%v,%v]x%v/%d vs [%v,%v]x%v/%d",
-			h.lo, h.hi, h.ratio, len(h.counts), other.lo, other.hi, other.ratio, len(other.counts))
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.under += other.under
-	h.count += other.count
-	h.sum += other.sum
-	if other.count > 0 {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.mx > h.mx {
-			h.mx = other.mx
-		}
-	}
-	return nil
 }

@@ -35,6 +35,8 @@ func PFGnutella(r, n, horizon int) float64 {
 // PFHybrid is Equation (1): the probability an item is found in the hybrid
 // system, where pfDHT is the probability the item was published (found
 // with certainty by the DHT if so).
+//
+//lint:allow unusedexport the paper's Eq. 1, pinned by this package's tests
 func PFHybrid(pfGnutella, pfDHT float64) float64 {
 	return pfGnutella + (1-pfGnutella)*pfDHT
 }
@@ -47,6 +49,8 @@ func PFThreshold(threshold, n, horizon int) float64 {
 }
 
 // Costs bundles the per-item cost model of Equations (3)–(5).
+//
+//lint:allow unusedexport holds the cost terms of the paper's Eq. 4
 type Costs struct {
 	N           int     // network size
 	Horizon     int     // nodes visited by a flood
@@ -63,6 +67,8 @@ func (c Costs) SearchCost(pfGnutella, dhtSearchCost float64) float64 {
 }
 
 // TotalCost is Equation (4): search cost plus amortised publishing.
+//
+//lint:allow unusedexport the paper's Eq. 4, pinned by this package's tests
 func (c Costs) TotalCost(pfGnutella, pfDHT, dhtSearchCost float64) float64 {
 	return c.SearchCost(pfGnutella, dhtSearchCost) + pfDHT*c.PublishCost/c.Lifetime
 }
@@ -78,6 +84,8 @@ func DHTSearchCost(n int) float64 {
 
 // TotalPublishCost is Equation (5) over a population: the sum of each
 // item's publish cost weighted by its publication probability.
+//
+//lint:allow unusedexport the paper's Eq. 5, pinned by this package's tests
 func TotalPublishCost(published []bool, perItemCost []float64) float64 {
 	total := 0.0
 	for i, p := range published {

@@ -219,14 +219,16 @@ func (e *Engine) handleBloom(_ dht.NodeInfo, data []byte) []byte {
 	return encodeBloomReply(nil, &bloomReply{Count: len(tuples), Filter: raw})
 }
 
-// decodePreJoinFilter unmarshals a chainMsg pre-join filter, returning nil
-// when absent or malformed (the chain then simply skips pruning).
+// decodePreJoinFilter unmarshals a chainMsg pre-join filter or a probe
+// reply's filter, returning nil when absent, malformed, or larger than an
+// owner would build (the chain then simply skips pruning). Both arrive
+// from peers, and Test loops once per hash on every candidate.
 func decodePreJoinFilter(raw []byte) *bloom.Filter {
 	if len(raw) == 0 {
 		return nil
 	}
 	f := new(bloom.Filter)
-	if err := f.UnmarshalBinary(raw); err != nil {
+	if err := f.UnmarshalBinary(raw); err != nil || f.Bits() > maxBloomBits || f.K() > maxBloomHashes {
 		return nil
 	}
 	return f

@@ -131,9 +131,6 @@ type cacheReply struct {
 
 // Config holds engine parameters.
 type Config struct {
-	// ChainTimeout bounds how long a distributed join waits for its result
-	// message. Zero means 30 seconds.
-	ChainTimeout time.Duration
 	// OrderBySelectivity makes multi-key joins probe posting-list sizes
 	// first and execute smallest-first (§5's "optimized to compute smaller
 	// posting lists first"). Disable for the ablation benchmark.
@@ -151,10 +148,11 @@ type Config struct {
 	BloomHashes uint32
 }
 
+// chainTimeout bounds how long a distributed join waits for its result
+// message.
+const chainTimeout = 30 * time.Second
+
 func (c Config) normalize() Config {
-	if c.ChainTimeout <= 0 {
-		c.ChainTimeout = 30 * time.Second
-	}
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
@@ -426,8 +424,8 @@ func (e *Engine) dispatchChain(ctx context.Context, msg chainMsg, stats *OpStats
 		return values, *stats, nil
 	case <-ctx.Done():
 		return nil, *stats, fmt.Errorf("pier: chain join %d: %w", qid, ctx.Err())
-	case <-time.After(e.cfg.ChainTimeout):
-		return nil, *stats, fmt.Errorf("pier: chain join %d timed out after %v", qid, e.cfg.ChainTimeout)
+	case <-time.After(chainTimeout):
+		return nil, *stats, fmt.Errorf("pier: chain join %d timed out after %v", qid, chainTimeout)
 	}
 }
 

@@ -45,9 +45,6 @@ func (e *Engine) SetHotTier(t *hotcache.Tier) {
 	e.node.SetStoreObserver(func(id dht.ID) { t.InvalidateID(id[:]) })
 }
 
-// HotTier returns the installed tier, or nil.
-func (e *Engine) HotTier() *hotcache.Tier { return e.hot.Load() }
-
 // tuplesSize approximates the cache footprint of a tuple slice by its
 // wire size.
 func tuplesSize(ts []Tuple) int64 {
@@ -94,7 +91,7 @@ func (e *Engine) sendRead(ctx context.Context, key dht.ID, app string, data []by
 		if err != nil {
 			return nil, err
 		}
-		holders = holdersFor(e.node.Info(), closest, key, t.Replicas())
+		holders = holdersFor(e.node.Info(), closest, key, e.node.Config().Replicate)
 		if len(holders) == 0 {
 			return nil, dht.ErrNoContacts
 		}

@@ -5,7 +5,9 @@ package pier
 // the way a remote peer's STORE leaves them, with no routing in between.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -82,7 +84,7 @@ func texts(vals []Value) string {
 	out := make([]string, len(vals))
 	for i, v := range vals {
 		out[i] = string(v.Raw())
-		if v.Kind() == KindString {
+		if v.K == KindString {
 			out[i] = v.Text()
 		}
 	}
@@ -231,6 +233,43 @@ func TestChainStepUnknownJoinColumn(t *testing.T) {
 			t.Errorf("step %d: result %q, err %q; want an error naming the column", step, texts(res.Values), res.Err)
 		}
 	}
+}
+
+// hostileFilter is a marshalled Bloom filter header claiming m bits and one
+// hash, followed by words zero words.
+func hostileFilter(m uint64, words int) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, m)
+	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, 0)
+	return append(b, make([]byte, 8*words)...)
+}
+
+// stepZeroIgnoresFilter runs a step-0 chain message carrying filter on an
+// owner with one posting: the owner must drop the filter and answer.
+func stepZeroIgnoresFilter(t *testing.T, filter []byte) {
+	t.Helper()
+	e := newOwner(t)
+	alpha := String("alpha")
+	put(e, "Inverted", alpha, Tuple{alpha, fid("f1")})
+	res := chainStep(t, e, chainMsg{
+		Table: "Inverted", JoinCol: "fileID", Keys: []Value{alpha}, Step: 0, Filter: filter,
+	})
+	if res.Err != "" || texts(res.Values) != "f1" {
+		t.Errorf("step 0 = %q (err %q), want \"f1\"", texts(res.Values), res.Err)
+	}
+}
+
+// TestChainStepZeroBitFilter: a pre-join filter claiming 0 bits (24 bytes,
+// so its length matches) made the first Test divide by zero.
+func TestChainStepZeroBitFilter(t *testing.T) {
+	stepZeroIgnoresFilter(t, hostileFilter(0, 0))
+}
+
+// TestChainStepWrappedBitCountFilter: a pre-join filter claiming 2⁶⁴−1
+// bits wrapped the word count to 0, and the first Test indexed past the
+// empty bit array.
+func TestChainStepWrappedBitCountFilter(t *testing.T) {
+	stepZeroIgnoresFilter(t, hostileFilter(math.MaxUint64, 0))
 }
 
 // TestOwnerScanDropsMalformedTuples pins that tuples a peer stored

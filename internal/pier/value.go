@@ -52,9 +52,6 @@ func Int(i int64) Value { return Value{K: KindInt, I: i} }
 // Bytes constructs a byte-string value.
 func Bytes(b []byte) Value { return Value{K: KindBytes, B: b} }
 
-// Kind returns the value's type tag.
-func (v Value) Kind() Kind { return v.K }
-
 // Text returns the string payload (empty for non-string values).
 func (v Value) Text() string { return v.S }
 
@@ -63,22 +60,6 @@ func (v Value) Num() int64 { return v.I }
 
 // Raw returns the byte payload (nil for non-bytes values).
 func (v Value) Raw() []byte { return v.B }
-
-// Equal reports deep equality of kind and payload.
-func (v Value) Equal(o Value) bool {
-	if v.K != o.K {
-		return false
-	}
-	switch v.K {
-	case KindString:
-		return v.S == o.S
-	case KindInt:
-		return v.I == o.I
-	case KindBytes:
-		return string(v.B) == string(o.B)
-	}
-	return false
-}
 
 // Key returns a collision-free map key for hash-based operators: the kind
 // byte followed by the payload.
@@ -112,33 +93,6 @@ func (v Value) GoString() string {
 
 // Tuple is an ordered list of values; column names live in the Schema.
 type Tuple []Value
-
-// Clone returns a deep copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	out := make(Tuple, len(t))
-	copy(out, t)
-	for i, v := range t {
-		if v.K == KindBytes {
-			b := make([]byte, len(v.B))
-			copy(b, v.B)
-			out[i].B = b
-		}
-	}
-	return out
-}
-
-// Equal reports field-wise equality.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(o[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // The tuple wire format, shared with the engine's message codec
 // (wirefmt.go) via the internal/codec primitives:

@@ -9,15 +9,15 @@ import (
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	s := String("abc")
-	if s.Kind() != KindString || s.Text() != "abc" {
+	if s.K != KindString || s.Text() != "abc" {
 		t.Errorf("String value: %#v", s)
 	}
 	i := Int(-42)
-	if i.Kind() != KindInt || i.Num() != -42 {
+	if i.K != KindInt || i.Num() != -42 {
 		t.Errorf("Int value: %#v", i)
 	}
 	b := Bytes([]byte{1, 2})
-	if b.Kind() != KindBytes || string(b.Raw()) != "\x01\x02" {
+	if b.K != KindBytes || string(b.Raw()) != "\x01\x02" {
 		t.Errorf("Bytes value: %#v", b)
 	}
 }

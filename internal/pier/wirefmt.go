@@ -522,6 +522,8 @@ func decodeBloomReply(data []byte) (bloomReply, error) {
 // carrying the given keys and candidate set — the per-hop unit of the
 // matching-phase traffic §5/§7 account. Exported so benchmarks can compare
 // wire formats without driving a cluster; candidates is sorted in place.
+//
+//lint:allow unusedexport the root codec benchmark sizes chain messages with it
 func ChainMessageSize(table, joinCol string, keys, candidates []Value, origin dht.NodeInfo) int {
 	m := chainMsg{
 		QID:        1,

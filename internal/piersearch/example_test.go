@@ -50,8 +50,6 @@ func Example() {
 func ExampleTokenizer() {
 	tk := piersearch.Tokenizer{}
 	fmt.Println(tk.Tokenize("Madonna - The Best of.mp3"))
-	fmt.Println(tk.AdjacentPairs("like a prayer"))
 	// Output:
 	// [madonna best]
-	// [[like prayer]]
 }

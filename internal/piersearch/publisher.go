@@ -123,24 +123,3 @@ func (p *Publisher) PublishFile(f File) (PublishStats, error) {
 	}
 	return stats, nil
 }
-
-// PublishAll publishes a batch of files, accumulating stats. It stops at
-// the first error, returning the stats accumulated so far.
-func (p *Publisher) PublishAll(files []File) (PublishStats, error) {
-	var total PublishStats
-	for _, f := range files {
-		s, err := p.PublishFile(f)
-		total.Tuples += s.Tuples
-		total.Keywords += s.Keywords
-		total.Messages += s.Messages
-		total.Bytes += s.Bytes
-		total.Wall += s.Wall
-		if s.MaxInFlight > total.MaxInFlight {
-			total.MaxInFlight = s.MaxInFlight
-		}
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}

@@ -55,31 +55,6 @@ func (tk Tokenizer) Tokenize(s string) []string {
 	return terms
 }
 
-// AdjacentPairs returns the ordered adjacent term pairs of s after
-// tokenization, the unit of the Term-Pair-Frequency rare-item scheme (§5).
-// Pairing happens before deduplication so repeated terms still pair up, but
-// the returned pairs themselves are deduplicated.
-func (tk Tokenizer) AdjacentPairs(s string) [][2]string {
-	var kept []string
-	for _, raw := range splitAlnum(s) {
-		term := strings.ToLower(raw)
-		if len(term) < tk.minLen() || tk.stop(term) {
-			continue
-		}
-		kept = append(kept, term)
-	}
-	var pairs [][2]string
-	seen := map[[2]string]bool{}
-	for i := 0; i+1 < len(kept); i++ {
-		p := [2]string{kept[i], kept[i+1]}
-		if !seen[p] {
-			seen[p] = true
-			pairs = append(pairs, p)
-		}
-	}
-	return pairs
-}
-
 // splitAlnum splits s into maximal runs of ASCII letters and digits.
 func splitAlnum(s string) []string {
 	var out []string

@@ -35,8 +35,10 @@ type canceledError struct{ cause error }
 
 func (e *canceledError) Error() string { return "plan: query canceled: " + e.cause.Error() }
 
+//lint:allow unusedexport errors.Is calls it
 func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
 
+//lint:allow unusedexport errors.Is and errors.Unwrap call it
 func (e *canceledError) Unwrap() error { return e.cause }
 
 // Canceled wraps cause (typically chaining to context.Canceled or

@@ -199,21 +199,27 @@ func fileIDs(tuples []pier.Tuple) map[string]bool {
 	return out
 }
 
+// runPlan compiles q with planner and runs it to completion.
+func runPlan(t *testing.T, planner plan.Planner, q plan.Query) []pier.Tuple {
+	t.Helper()
+	compiled, err := planner.Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := compiled.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestPlannerStrategiesAgree(t *testing.T) {
 	env := newClusterEnv(t, 20)
 	planner := plan.Planner{Engine: env.engines[4], Catalog: piersearch.Catalog()}
 
 	run := func(q plan.Query) []pier.Tuple {
 		t.Helper()
-		compiled, err := planner.Plan(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := compiled.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		return runPlan(t, planner, q)
 	}
 
 	terms := []string{"alpha", "beta"}
@@ -232,10 +238,12 @@ func TestPlannerStrategiesAgree(t *testing.T) {
 		}
 	}
 
-	// NoItemFetch stops at single-column fileID tuples.
-	idsOnly := run(plan.Query{Terms: terms, Strategy: plan.StrategyJoin, Options: plan.Options{NoItemFetch: true}})
+	// A catalog without an item table stops at single-column fileID tuples.
+	idsCatalog := piersearch.Catalog()
+	idsCatalog.ItemTable = ""
+	idsOnly := runPlan(t, plan.Planner{Engine: env.engines[4], Catalog: idsCatalog}, plan.Query{Terms: terms, Strategy: plan.StrategyJoin})
 	if len(idsOnly) != 12 || len(idsOnly[0]) != 1 {
-		t.Fatalf("NoItemFetch output = %d tuples x %d cols", len(idsOnly), len(idsOnly[0]))
+		t.Fatalf("ID-only output = %d tuples x %d cols", len(idsOnly), len(idsOnly[0]))
 	}
 
 	// Limit is pushed into the match phase and caps the output.

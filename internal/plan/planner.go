@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"piersearch/internal/pier"
@@ -43,10 +41,6 @@ type Options struct {
 	// 1 compiles the fully sequential chain (no parallel probes, no
 	// Bloom pre-join) — the ablation configuration.
 	Workers int
-	// NoItemFetch stops the plan at the matched join-column values: the
-	// root emits one single-column tuple per match instead of resolving
-	// them through the item table. For callers that only need IDs.
-	NoItemFetch bool
 }
 
 // Query is a conjunctive-keyword query over a Catalog's relations.
@@ -100,38 +94,6 @@ type CompiledPlan struct {
 	// Match.Stats().Tuples is the match count; TotalStats(Match).Bytes is
 	// the matching phase's traffic.
 	Match Operator
-}
-
-// Run executes the plan to completion under ctx: Open, drain, Close. It
-// returns the emitted tuples and the first error (the Close error is
-// reported only when the drain succeeded).
-func (p *CompiledPlan) Run(ctx context.Context) ([]pier.Tuple, error) {
-	if err := p.Root.Open(ctx); err != nil {
-		p.Root.Close() //nolint:errcheck // open failed; best-effort release
-		return nil, err
-	}
-	var out []pier.Tuple
-	drainErr := Drain(p.Root, func(t pier.Tuple) { out = append(out, t) })
-	closeErr := p.Root.Close()
-	if drainErr != nil {
-		return out, drainErr
-	}
-	return out, closeErr
-}
-
-// Drain pulls op until ErrDone, passing each tuple to fn, and returns the
-// first execution error.
-func Drain(op Operator, fn func(pier.Tuple)) error {
-	for {
-		t, err := op.Next()
-		if errors.Is(err, ErrDone) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		fn(t)
-	}
 }
 
 // Plan compiles q into an operator tree.
@@ -212,7 +174,7 @@ func (p *Planner) Plan(q Query) (*CompiledPlan, error) {
 	}
 
 	root := match
-	if p.Catalog.ItemTable != "" && !q.Options.NoItemFetch {
+	if p.Catalog.ItemTable != "" {
 		root = &DHTFetch{
 			Engine:  p.Engine,
 			Table:   p.Catalog.ItemTable,

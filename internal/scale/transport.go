@@ -91,13 +91,6 @@ func (vn *Net) Reattach(addr string) {
 	delete(vn.down, addr)
 }
 
-// Down reports whether addr is currently detached.
-func (vn *Net) Down(addr string) bool {
-	vn.mu.Lock()
-	defer vn.mu.Unlock()
-	return vn.down[addr]
-}
-
 // Messages returns total one-way messages carried (request + response per
 // RPC, matching the other transports' accounting).
 func (vn *Net) Messages() uint64 {

@@ -94,14 +94,10 @@ type Error struct {
 // Error implements error.
 func (e *Error) Error() string { return fmt.Sprintf("service: %s: %s", e.Code, e.Msg) }
 
-// RetryAfter returns the daemon's backoff hint as a duration, zero when
-// none was given.
-func (e *Error) RetryAfter() time.Duration {
-	return time.Duration(e.RetryAfterMs) * time.Millisecond
-}
-
 // Is matches two protocol errors by code, so
 // errors.Is(err, &service.Error{Code: CodeOverloaded}) works.
+//
+//lint:allow unusedexport errors.Is calls it
 func (e *Error) Is(target error) bool {
 	t, ok := target.(*Error)
 	return ok && t.Code == e.Code

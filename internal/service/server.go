@@ -214,10 +214,6 @@ func NewServer(ln net.Listener, search *piersearch.Search, pub *piersearch.Publi
 // Addr returns the daemon's listening address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// ActiveQueries returns the number of queries currently admitted — the
-// quantity MaxQueries bounds.
-func (s *Server) ActiveQueries() int { return len(s.sem) }
-
 // Serve accepts client connections until Close. Each connection becomes a
 // mux session carrying any number of concurrent request streams.
 func (s *Server) Serve() error {

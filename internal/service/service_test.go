@@ -466,12 +466,12 @@ func TestPerClientRateLimit(t *testing.T) {
 			t.Fatal("client was never rate-limited")
 		}
 	}
-	if se.RetryAfter() <= 0 {
+	if se.RetryAfterMs <= 0 {
 		t.Errorf("overloaded error carries no retry-after hint: %+v", se)
 	}
 
 	// Waiting out the hint (bounded) refills the bucket.
-	wait := se.RetryAfter()
+	wait := time.Duration(se.RetryAfterMs) * time.Millisecond
 	if wait > time.Second {
 		wait = time.Second
 	}

@@ -68,12 +68,6 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Rand returns the simulator's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Processed reports how many events have fired so far.
-func (s *Sim) Processed() uint64 { return s.processed }
-
-// Pending reports how many events are scheduled but not yet fired.
-func (s *Sim) Pending() int { return len(s.events) }
-
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (s *Sim) At(t time.Duration, fn func()) {
@@ -92,9 +86,6 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	}
 	s.At(s.now+d, fn)
 }
-
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (s *Sim) Stop() { s.stopped = true }
 
 // Step fires the next pending event, advancing the clock to its time.
 // It reports whether an event was fired.
@@ -124,6 +115,3 @@ func (s *Sim) RunUntil(t time.Duration) {
 		s.now = t
 	}
 }
-
-// RunFor runs the simulation for d of virtual time from the current clock.
-func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now + d) }

@@ -40,6 +40,8 @@ type LatencyModel interface {
 }
 
 // Constant is a LatencyModel with a fixed one-way delay.
+//
+//lint:allow unusedexport the fixed latency of real-time clusters in other packages' tests
 type Constant time.Duration
 
 // Delay implements LatencyModel.
@@ -92,21 +94,6 @@ type KindStats struct {
 	Bytes    uint64
 }
 
-// Sub returns the difference s - prev, for interval measurements.
-func (s Stats) Sub(prev Stats) Stats {
-	out := Stats{
-		Messages: s.Messages - prev.Messages,
-		Bytes:    s.Bytes - prev.Bytes,
-		Dropped:  s.Dropped - prev.Dropped,
-		ByKind:   make(map[string]KindStats, len(s.ByKind)),
-	}
-	for k, v := range s.ByKind {
-		p := prev.ByKind[k]
-		out.ByKind[k] = KindStats{Messages: v.Messages - p.Messages, Bytes: v.Bytes - p.Bytes}
-	}
-	return out
-}
-
 // Network is a simulated datagram network. It is not safe for concurrent
 // use; all calls must happen on the simulator goroutine.
 type Network struct {
@@ -123,9 +110,6 @@ type Option func(*Network)
 // WithLatency sets the latency model (default: DefaultWideArea).
 func WithLatency(m LatencyModel) Option { return func(n *Network) { n.latency = m } }
 
-// WithLoss sets the independent per-message loss probability in [0, 1].
-func WithLoss(p float64) Option { return func(n *Network) { n.loss = p } }
-
 // New creates a network scheduled on s.
 func New(s *sim.Sim, opts ...Option) *Network {
 	n := &Network{
@@ -140,33 +124,21 @@ func New(s *sim.Sim, opts ...Option) *Network {
 	return n
 }
 
-// Sim returns the simulator this network schedules on.
-func (n *Network) Sim() *sim.Sim { return n.sim }
-
-// SetLoss changes the loss probability mid-run (failure injection).
-func (n *Network) SetLoss(p float64) { n.loss = p }
-
 // Attach registers h as the handler for id, replacing any previous handler.
 func (n *Network) Attach(id NodeID, h Handler) { n.handlers[id] = h }
 
 // Detach removes id from the network; in-flight messages to id are dropped
 // at delivery time. This models node failure.
+//
+//lint:allow unusedexport the gnutella churn tests detach ultrapeers with it
 func (n *Network) Detach(id NodeID) { delete(n.handlers, id) }
 
 // Attached reports whether id currently has a handler.
+//
+//lint:allow unusedexport the gnutella churn tests probe ultrapeers with it
 func (n *Network) Attached(id NodeID) bool {
 	_, ok := n.handlers[id]
 	return ok
-}
-
-// Stats returns a copy of the traffic counters.
-func (n *Network) Stats() Stats {
-	out := n.stats
-	out.ByKind = make(map[string]KindStats, len(n.stats.ByKind))
-	for k, v := range n.stats.ByKind {
-		out.ByKind[k] = v
-	}
-	return out
 }
 
 // Send queues m for delivery after a sampled latency. The message is charged

@@ -44,6 +44,8 @@ func NewRealTime(latency LatencyModel, seed int64) *RealTime {
 
 // SetLatency swaps the latency model, e.g. zero while seeding a cluster
 // and wide-area for the measured phase. nil restores DefaultWideArea.
+//
+//lint:allow unusedexport the plan and root real-time tests set link latency with it
 func (rt *RealTime) SetLatency(m LatencyModel) {
 	if m == nil {
 		m = DefaultWideArea()
@@ -61,6 +63,8 @@ func (rt *RealTime) Join(n *dht.Node) {
 }
 
 // Remove detaches the node at addr, modelling an abrupt departure.
+//
+//lint:allow unusedexport the dht and store real-time tests fail nodes with it
 func (rt *RealTime) Remove(addr string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -70,9 +74,13 @@ func (rt *RealTime) Remove(addr string) {
 // Messages returns the total one-way messages carried (each RPC
 // round-trip counts its request and its response, matching Network's
 // per-message accounting).
+//
+//lint:allow unusedexport real-time tests count traffic with it
 func (rt *RealTime) Messages() uint64 { return rt.messages.Load() }
 
 // Bytes returns the total wire bytes carried (requests plus responses).
+//
+//lint:allow unusedexport real-time tests count traffic with it
 func (rt *RealTime) Bytes() uint64 { return rt.bytes.Load() }
 
 // CallContext implements dht.Transport: it sleeps a sampled one-way delay,
@@ -128,6 +136,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // 12-24 nodes). When cfg.NewStorage is set it runs once per node (the
 // disk-backed restart scenarios build their clusters here) and factory
 // errors are returned rather than panicking.
+//
+//lint:allow unusedexport builds the wall-clock clusters of the plan, store and root tests
 func NewRealTimeCluster(n int, seed int64, cfg dht.Config, latency LatencyModel) (*RealTime, []*dht.Node, error) {
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("simnet: cluster size %d must be positive", n)

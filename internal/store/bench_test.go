@@ -22,7 +22,7 @@ func benchValue(i uint64) (dht.ID, dht.StoredValue) {
 	binary.BigEndian.PutUint64(data[:8], i)
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], i%4096)
-	return dht.NewID(key[:]), dht.StoredValue{
+	return dht.StringID(string(key[:])), dht.StoredValue{
 		Data:      data[:],
 		Publisher: dht.StringID("bench-pub"),
 		StoredAt:  0,

@@ -912,6 +912,8 @@ func (d *Disk) Close() error {
 // abandons all background work and releases the directory lock WITHOUT
 // flushing, fsyncing or sealing, leaving the on-disk state exactly as a
 // kill would. Real callers use Close.
+//
+//lint:allow unusedexport crash-recovery tests of store and, per ROADMAP item 11, of the cluster
 func (d *Disk) Crash() {
 	d.closeOnce.Do(func() {
 		d.closed.Store(true)

@@ -16,15 +16,11 @@ type Mem = dht.Store
 // NewMem creates an empty in-memory store.
 func NewMem() *Mem { return dht.NewStore() }
 
-// MemFactory returns a dht.Config.NewStorage factory producing one
-// in-memory store per node — the explicit spelling of the default.
-func MemFactory() func(dht.NodeInfo) (dht.Storage, error) {
-	return func(dht.NodeInfo) (dht.Storage, error) { return NewMem(), nil }
-}
-
 // DiskFactory returns a dht.Config.NewStorage factory that opens one Disk
 // store per node under baseDir/<node id hex>. Cluster builders invoke it
 // once per node, giving every node its own directory, WAL and segments.
+//
+//lint:allow unusedexport the pier and piersearch suites run disk-backed with it
 func DiskFactory(baseDir string, opts Options) func(dht.NodeInfo) (dht.Storage, error) {
 	return func(self dht.NodeInfo) (dht.Storage, error) {
 		return Open(filepath.Join(baseDir, self.ID.String()), opts)

@@ -142,9 +142,6 @@ func (l *Logger) log(lvl Level, msg string, args []any) {
 	l.sink.Emit(Event{Time: time.Now(), Level: lvl, Msg: msg, Keys: k, Vals: v})
 }
 
-// Debug logs at debug level; args are alternating key, value pairs.
-func (l *Logger) Debug(msg string, args ...any) { l.log(LevelDebug, msg, args) }
-
 // Info logs at info level; args are alternating key, value pairs.
 func (l *Logger) Info(msg string, args ...any) { l.log(LevelInfo, msg, args) }
 

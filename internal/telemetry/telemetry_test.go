@@ -98,12 +98,12 @@ func TestDisabledPathAllocsFree(t *testing.T) {
 		t.Fatalf("disabled StartSpan allocates %v per op, want 0", allocs)
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		if tr, sp := ContextIDs(ctx); tr != 0 || sp != 0 {
+		if _, tr, sp, ok := FromContext(ctx); ok || tr != 0 || sp != 0 {
 			t.Fatal("untraced ctx carried ids")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("ContextIDs allocates %v per op on untraced ctx, want 0", allocs)
+		t.Fatalf("FromContext allocates %v per op on untraced ctx, want 0", allocs)
 	}
 	var c *Counter
 	var h *Histogram
@@ -395,7 +395,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestLoggerLevelsAndFields(t *testing.T) {
 	var events []Event
 	lg := NewLogger(SinkFunc(func(e Event) { events = append(events, e) }), LevelInfo)
-	lg.Debug("dropped")
+	lg.log(LevelDebug, "dropped", nil)
 	lg.Info("kept", "k", "v", "n", 7)
 	lg.With("node", "a").Warn("child", "err", errors.New("boom"))
 	if len(events) != 2 {

@@ -92,14 +92,6 @@ func NewTracer(node string, opts ...TracerOption) *Tracer {
 	return t
 }
 
-// Node returns the node name spans are stamped with ("" for nil).
-func (t *Tracer) Node() string {
-	if t == nil {
-		return ""
-	}
-	return t.node
-}
-
 // NewTraceID mints a fresh trace identifier. Deterministic given the
 // node name and call order.
 func (t *Tracer) NewTraceID() TraceID {
@@ -183,14 +175,6 @@ func (t *Tracer) snapshot() []Span {
 	return out
 }
 
-// Spans returns every span currently in the ring, oldest first.
-func (t *Tracer) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	return t.snapshot()
-}
-
 // TraceSpans returns the ring's spans belonging to one trace, oldest
 // first.
 func (t *Tracer) TraceSpans(id TraceID) []Span {
@@ -223,16 +207,6 @@ func (t *Tracer) TraceIDs() []TraceID {
 		}
 	}
 	return out
-}
-
-// Dropped reports how many spans were evicted from the ring.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.drops
 }
 
 // ActiveSpan is an in-progress span. A nil *ActiveSpan (returned when
@@ -369,16 +343,6 @@ func FromContext(ctx context.Context) (t *Tracer, trace TraceID, span SpanID, ok
 		return nil, 0, 0, false
 	}
 	return ref.t, ref.trace, ref.span, true
-}
-
-// ContextIDs is FromContext reduced to the two IDs that go on the
-// wire; both zero when untraced.
-func ContextIDs(ctx context.Context) (TraceID, SpanID) {
-	ref, ok := ctx.Value(spanKey{}).(spanRef)
-	if !ok {
-		return 0, 0
-	}
-	return ref.trace, ref.span
 }
 
 // fnv64 is FNV-1a, used to derive a per-node ID base from its name.

@@ -199,18 +199,6 @@ func (tr *Trace) TotalInstances() int {
 	return n
 }
 
-// SingletonInstanceFrac returns the fraction of instances whose file has
-// exactly one replica.
-func (tr *Trace) SingletonInstanceFrac() float64 {
-	singles := 0
-	for _, f := range tr.Files {
-		if f.Replicas == 1 {
-			singles++
-		}
-	}
-	return float64(singles) / float64(tr.TotalInstances())
-}
-
 // Placement assigns every instance to a host: for each distinct file, a
 // list of distinct host indices in [0, hosts). Replicas land on distinct
 // hosts, per the model's assumption (§6.1).

@@ -54,7 +54,13 @@ func TestGenerateBasicShape(t *testing.T) {
 	if len(tr.Queries) != 300 {
 		t.Fatalf("queries = %d", len(tr.Queries))
 	}
-	frac := tr.SingletonInstanceFrac()
+	singles := 0
+	for _, f := range tr.Files {
+		if f.Replicas == 1 {
+			singles++
+		}
+	}
+	frac := float64(singles) / float64(tr.TotalInstances())
 	if frac < 0.1 || frac > 0.4 {
 		t.Errorf("singleton frac = %.3f", frac)
 	}

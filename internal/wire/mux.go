@@ -205,13 +205,6 @@ func newMux(conn net.Conn, handler func(*Stream, []byte), firstID uint64) *Mux {
 	return m
 }
 
-// Err returns the terminal mux error, or nil while the session is live.
-func (m *Mux) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
 // Done is closed when the mux session ends (connection failure or Close).
 func (m *Mux) Done() <-chan struct{} { return m.done }
 
@@ -574,9 +567,6 @@ func newStream(m *Mux, id uint64, window int) *Stream {
 		creditc:  make(chan struct{}, 1),
 	}
 }
-
-// ID returns the stream's mux-local identifier.
-func (s *Stream) ID() uint64 { return s.id }
 
 // terminate kills the stream in both directions with err.
 func (s *Stream) terminate(err error) {

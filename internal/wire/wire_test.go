@@ -125,12 +125,12 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 	prop := func(app string, data, value []byte, ok bool) bool {
 		req := &dht.Request{
 			Kind: dht.RPCApp,
-			From: dht.NodeInfo{ID: dht.NewID(data), Addr: app},
+			From: dht.NodeInfo{ID: dht.StringID(string(data)), Addr: app},
 			App:  app,
 			Data: data,
 		}
 		if len(value) > 0 {
-			req.Value = dht.StoredValue{Data: value, Publisher: dht.NewID(value)}
+			req.Value = dht.StoredValue{Data: value, Publisher: dht.StringID(string(value))}
 		}
 		got, err := DecodeRequest(EncodeRequest(req))
 		if err != nil {
