@@ -393,7 +393,7 @@ func BenchmarkAblationJoinOrder(b *testing.B) {
 			shipped := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := engines[i%24].ChainJoinContext(context.Background(), piersearch.TableInverted,
+				_, stats, err := engines[i%24].ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted,
 					[]pier.Value{pier.String("common"), pier.String("rareterm")}, "fileID", 0)
 				if err != nil {
 					b.Fatal(err)

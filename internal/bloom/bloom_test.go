@@ -11,8 +11,11 @@ import (
 	"testing/quick"
 )
 
+// Sizes below follow m = −n ln p / (ln 2)² and k = (m/n) ln 2 for n
+// elements at false-positive rate p.
+
 func TestNoFalseNegatives(t *testing.T) {
-	f := NewWithEstimates(1000, 0.01)
+	f := New(9586, 7) // n = 1 000, p = 0.01
 	for i := 0; i < 1000; i++ {
 		f.AddString(fmt.Sprintf("key-%d", i))
 	}
@@ -25,7 +28,7 @@ func TestNoFalseNegatives(t *testing.T) {
 
 func TestFalsePositiveRateNearTarget(t *testing.T) {
 	const n, p = 10000, 0.01
-	f := NewWithEstimates(n, p)
+	f := New(95851, 7)
 	for i := 0; i < n; i++ {
 		f.AddString(fmt.Sprintf("member-%d", i))
 	}
@@ -69,22 +72,6 @@ func TestPropertyAddedAlwaysFound(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	a := New(1024, 3)
-	b := New(1024, 3)
-	a.AddString("alpha")
-	b.AddString("beta")
-	if err := a.Union(b); err != nil {
-		t.Fatal(err)
-	}
-	if !a.TestString("alpha") || !a.TestString("beta") {
-		t.Error("union lost elements")
-	}
-	if a.Count() != 2 {
-		t.Errorf("Count = %d, want 2", a.Count())
-	}
-}
-
 func TestIntersect(t *testing.T) {
 	a := New(1024, 3)
 	b := New(1024, 3)
@@ -103,8 +90,8 @@ func TestIntersect(t *testing.T) {
 	if a.TestString("alpha") || a.TestString("beta") {
 		t.Error("intersect kept a one-sided element")
 	}
-	if a.Count() != 2 {
-		t.Errorf("Count = %d, want upper bound 2", a.Count())
+	if a.count != 2 {
+		t.Errorf("count = %d, want upper bound 2", a.count)
 	}
 }
 
@@ -120,32 +107,8 @@ func TestIntersectIncompatible(t *testing.T) {
 	}
 }
 
-func TestUnionIncompatible(t *testing.T) {
-	a := New(1024, 3)
-	b := New(2048, 3)
-	if err := a.Union(b); err == nil {
-		t.Error("union of different sizes succeeded")
-	}
-	c := New(1024, 4)
-	if err := a.Union(c); err == nil {
-		t.Error("union of different k succeeded")
-	}
-}
-
-func TestClear(t *testing.T) {
-	f := New(1024, 3)
-	f.AddString("x")
-	f.Clear()
-	if f.TestString("x") {
-		t.Error("cleared filter still contains x")
-	}
-	if f.Count() != 0 || f.FillRatio() != 0 {
-		t.Errorf("Count=%d FillRatio=%v after Clear", f.Count(), f.FillRatio())
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
-	f := NewWithEstimates(500, 0.02)
+	f := New(4071, 6) // n = 500, p = 0.02
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]string, 500)
 	for i := range keys {
@@ -160,8 +123,9 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err := g.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if g.Bits() != f.Bits() || g.K() != f.K() || g.Count() != f.Count() {
-		t.Errorf("geometry mismatch after round trip")
+	again, err := g.MarshalBinary()
+	if err != nil || !bytes.Equal(again, data) {
+		t.Errorf("round trip re-encoded differently (err %v)", err)
 	}
 	for _, k := range keys {
 		if !g.TestString(k) {
@@ -195,20 +159,6 @@ func TestNewPanicsOnZero(t *testing.T) {
 	}
 }
 
-func TestNewWithEstimatesDefaults(t *testing.T) {
-	// Degenerate inputs must still produce a usable filter.
-	for _, f := range []*Filter{
-		NewWithEstimates(0, 0.01),
-		NewWithEstimates(10, 0),
-		NewWithEstimates(10, 1.5),
-	} {
-		f.AddString("x")
-		if !f.TestString("x") {
-			t.Error("degenerate-parameter filter unusable")
-		}
-	}
-}
-
 func TestSizeBytesMatchesBits(t *testing.T) {
 	f := New(1000, 3) // rounds to 1024 bits = 128 bytes
 	if f.Bits() != 1024 {
@@ -220,7 +170,7 @@ func TestSizeBytesMatchesBits(t *testing.T) {
 }
 
 func BenchmarkAdd(b *testing.B) {
-	f := NewWithEstimates(uint64(b.N)+1, 0.01)
+	f := New(10*(uint64(b.N)+1), 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.AddString(fmt.Sprintf("key-%d", i))
@@ -228,7 +178,7 @@ func BenchmarkAdd(b *testing.B) {
 }
 
 func BenchmarkTest(b *testing.B) {
-	f := NewWithEstimates(100000, 0.01)
+	f := New(958506, 7)
 	for i := 0; i < 100000; i++ {
 		f.AddString(fmt.Sprintf("key-%d", i))
 	}

@@ -24,8 +24,9 @@ type PostingShipResult struct {
 }
 
 // PostingListShipping replays the trace queries through a real PIER
-// cluster using the distributed SHJ plan (smallest-posting-list-first) and
-// measures posting entries shipped per query over a sampled library.
+// cluster using the distributed SHJ plan (smallest-posting-list-first,
+// with the Bloom pre-join) and measures posting entries shipped per query
+// over a sampled library.
 func PostingListShipping(env *StudyEnv, clusterSize, sampleInstances int) (PostingShipResult, error) {
 	var res PostingShipResult
 	if clusterSize <= 0 {
@@ -73,7 +74,7 @@ func PostingListShipping(env *StudyEnv, clusterSize, sampleInstances int) (Posti
 			keys[i] = pier.String(t)
 		}
 		e := engines[res.Queries%clusterSize]
-		values, stats, err := e.ChainJoinContext(e.Node().Context(), piersearch.TableInverted, keys, "fileID", 0)
+		values, stats, err := e.ChainJoinConcurrentContext(e.Node().Context(), piersearch.TableInverted, keys, "fileID", 0)
 		if err != nil {
 			return res, err
 		}

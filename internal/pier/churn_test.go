@@ -28,7 +28,7 @@ func TestChainJoinAfterOwnerChurn(t *testing.T) {
 	}
 
 	// Replicas on the remaining closest nodes still answer the join.
-	got, _, err := env.engines[5].ChainJoinContext(context.Background(), "Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
+	got, _, err := env.engines[5].ChainJoinConcurrentContext(context.Background(), "Inverted", []Value{String("alpha"), String("beta")}, "fileID", 0)
 	if err != nil {
 		t.Fatalf("join after owner churn: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestQueriesSurviveHeavyChurn(t *testing.T) {
 		env.cluster.RemoveNode(idx)
 		env.engines = env.engines[:idx]
 	}
-	got, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", []Value{String("churn"), String("survivor")}, "fileID", 0)
+	got, _, err := env.engines[0].ChainJoinConcurrentContext(context.Background(), "Inverted", []Value{String("churn"), String("survivor")}, "fileID", 0)
 	if err != nil {
 		t.Fatalf("join under churn: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestChainJoinConcurrentQueries(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			got, _, err := env.engines[w%len(env.engines)].ChainJoinContext(context.Background(), "Inverted",
+			got, _, err := env.engines[w%len(env.engines)].ChainJoinConcurrentContext(context.Background(), "Inverted",
 				[]Value{String("parallel"), String(fmt.Sprintf("item%02d", w%8))}, "fileID", 0)
 			if err == nil && len(got) != 1 {
 				err = fmt.Errorf("worker %d: %d results", w, len(got))
@@ -129,7 +129,7 @@ func TestRepublishAfterChurnRestoresJoin(t *testing.T) {
 	if n, _ := pub.Node().Republish(); n == 0 {
 		t.Log("nothing held locally to republish; relying on surviving replicas")
 	}
-	got, _, err := env.engines[0].ChainJoinContext(context.Background(), "Inverted", []Value{String("restored"), String("gem")}, "fileID", 0)
+	got, _, err := env.engines[0].ChainJoinConcurrentContext(context.Background(), "Inverted", []Value{String("restored"), String("gem")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package pier
 
 // Allocation benchmarks for the hot message codecs. Every chain step,
-// count probe, and cache select crosses these round-trips once per RPC,
+// probe, and cache select crosses these round-trips once per RPC,
 // so allocs/op here multiplies directly into GC pressure at the hottest
 // node of a skewed workload. Run with:
 //
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"testing"
 
+	"piersearch/internal/bloom"
 	"piersearch/internal/dht"
 )
 
@@ -48,18 +49,27 @@ func BenchmarkChainMsgRoundTrip(b *testing.B) {
 	}
 }
 
-func BenchmarkCountMsgRoundTrip(b *testing.B) {
-	msg := countMsg{Table: "Inverted", Key: String("stream")}
-	wire := encodeCountMsg(nil, &msg)
-	reply := encodeCountReply(nil, 42)
+// BenchmarkBloomMsgRoundTrip is one probe: the request, and a reply
+// carrying a 1 KiB filter at the fixed geometry.
+func BenchmarkBloomMsgRoundTrip(b *testing.B) {
+	msg := bloomMsg{Table: "Inverted", Key: String("stream"), JoinCol: "fileID"}
+	wire := encodeBloomMsg(nil, &msg)
+	f := bloom.New(filterBits, filterHashes)
+	for i := 0; i < 42; i++ {
+		f.Add(benchFileID(i))
+	}
+	raw, _ := f.MarshalBinary()
+	br := bloomReply{Count: 42, Filter: raw}
+	reply := encodeBloomReply(nil, &br)
 	b.ReportAllocs()
 	var buf []byte
 	for i := 0; i < b.N; i++ {
-		buf = encodeCountMsg(buf[:0], &msg)
-		if _, err := decodeCountMsg(wire); err != nil {
+		buf = encodeBloomMsg(buf[:0], &msg)
+		if _, err := decodeBloomMsg(wire); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := decodeCountReply(reply); err != nil {
+		buf = encodeBloomReply(buf[:0], &br)
+		if _, err := decodeBloomReply(reply); err != nil {
 			b.Fatal(err)
 		}
 	}

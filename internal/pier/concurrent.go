@@ -1,11 +1,9 @@
 package pier
 
 // This file implements the concurrent side of the engine: batched tuple
-// publishing, parallel posting-list probes, and a chain join whose
-// per-keyword probe phase overlaps network round-trips and prunes the
-// shipped candidate stream with intersected Bloom filters. The sequential
-// primitives in engine.go remain the reference semantics; everything here
-// must return the same answers, only faster.
+// publishing, the posting-list probe, and the chain join whose per-keyword
+// probe phase overlaps network round-trips and prunes the shipped
+// candidate stream with intersected Bloom filters.
 
 import (
 	"context"
@@ -159,26 +157,25 @@ func (e *Engine) PublishBatchContext(ctx context.Context, pubs []Pub, workers in
 	return res, nil
 }
 
-// Bounds on peer-requested filter geometry: a remote node controls
-// bloomMsg.Bits/Hashes, and bloom.New allocates Bits/8 bytes, so the
-// handler must reject absurd requests rather than OOM (the wire layer
-// caps frame sizes for the same reason).
+// The pre-join filter geometry: 8192 bits and 4 hashes, 1 KiB per
+// filter. Every probe of every query uses it, so filters from any owners
+// intersect, and a peer's filter of any other shape is dropped on decode.
 const (
-	maxBloomBits   = 1 << 20 // 128 KiB filter
-	maxBloomHashes = 32
+	filterBits   = 8192
+	filterHashes = 4
 )
 
-// bloomMsg asks a key owner for its posting-list size and a Bloom filter
-// of the list's join-column values, in one round-trip.
+// bloomMsg asks a key owner for its posting-list size and, when JoinCol
+// is set, a Bloom filter of the list's join-column values, in one
+// round-trip. An empty JoinCol asks for the count alone.
 type bloomMsg struct {
 	Table   string
 	Key     Value
 	JoinCol string
-	Bits    uint64
-	Hashes  uint32
 }
 
-// bloomReply carries the probe result; Filter is a marshalled bloom.Filter.
+// bloomReply carries the probe result; Filter is a marshalled bloom.Filter,
+// absent from a count-only reply.
 type bloomReply struct {
 	Count  int
 	Filter []byte
@@ -197,18 +194,20 @@ func (e *Engine) handleBloom(_ dht.NodeInfo, data []byte) []byte {
 	if !ok {
 		return bloomErr("unknown table " + msg.Table)
 	}
-	joinIdx := sch.ColIndex(msg.JoinCol)
-	if joinIdx < 0 {
-		return bloomErr("no column " + msg.JoinCol)
-	}
-	if msg.Bits == 0 || msg.Hashes == 0 || msg.Bits > maxBloomBits || msg.Hashes > maxBloomHashes {
-		return bloomErr("bad filter geometry")
+	joinIdx := -1
+	if msg.JoinCol != "" {
+		if joinIdx = sch.ColIndex(msg.JoinCol); joinIdx < 0 {
+			return bloomErr("no column " + msg.JoinCol)
+		}
 	}
 	tuples, err := e.scan(sch, msg.Key)
 	if err != nil {
 		return bloomErr(err.Error())
 	}
-	f := bloom.New(msg.Bits, msg.Hashes)
+	if joinIdx < 0 {
+		return encodeBloomReply(nil, &bloomReply{Count: len(tuples)})
+	}
+	f := bloom.New(filterBits, filterHashes)
 	for _, t := range tuples {
 		f.AddString(t[joinIdx].Key())
 	}
@@ -220,37 +219,47 @@ func (e *Engine) handleBloom(_ dht.NodeInfo, data []byte) []byte {
 }
 
 // decodePreJoinFilter unmarshals a chainMsg pre-join filter or a probe
-// reply's filter, returning nil when absent, malformed, or larger than an
-// owner would build (the chain then simply skips pruning). Both arrive
+// reply's filter, returning nil when absent, malformed, or of any geometry
+// but the fixed one (the chain then simply skips pruning). Both arrive
 // from peers, and Test loops once per hash on every candidate.
 func decodePreJoinFilter(raw []byte) *bloom.Filter {
 	if len(raw) == 0 {
 		return nil
 	}
 	f := new(bloom.Filter)
-	if err := f.UnmarshalBinary(raw); err != nil || f.Bits() > maxBloomBits || f.K() > maxBloomHashes {
+	if err := f.UnmarshalBinary(raw); err != nil || f.Bits() != filterBits || f.K() != filterHashes {
 		return nil
 	}
 	return f
 }
 
-// keyProbe is one key's probe result during ChainJoinConcurrent.
+// keyProbe is one key's probe result during the chain join.
 type keyProbe struct {
 	key    Value
 	count  int
 	filter *bloom.Filter
 }
 
-// ChainJoinConcurrentContext executes the same distributed join as
-// ChainJoinContext but overlaps the per-keyword posting probes: every
-// key's owner is asked, in parallel, for its posting-list size and a Bloom
-// filter of its fileIDs. The keys are then ordered smallest-first and the
-// intersection of the later keys' filters rides along with the chain plan,
-// so the first step ships only candidate fileIDs that can survive every
-// later join — the pruning §5 needs to keep rare-item queries cheap at
-// Internet scale. Cancellation aborts the parallel probe phase (no further
-// probes are dispatched, in-flight probes abandon their round-trip), the
-// dispatch, and the wait for the chain's result.
+// ChainJoinConcurrentContext executes the paper's Figure 2 plan: an
+// equality lookup of each key, joined on joinCol by a chain of symmetric
+// hash joins across the owning nodes, with the surviving joinCol values
+// streamed back to this node. keys are index-key values for table (e.g.
+// keywords for Inverted).
+//
+// Every key's owner is first probed, with up to Config.Workers probes in
+// flight, for its posting-list size and a Bloom filter of its join values.
+// With Config.OrderBySelectivity the chain then runs smallest list first.
+// The intersection of the later keys' filters rides along with the plan,
+// so the first step ships only candidates that can survive every later
+// join — the pruning §5 needs to keep rare-item queries cheap at Internet
+// scale. Bloom filters have no false negatives, so the pre-join changes
+// traffic, never answers.
+//
+// Cancellation or deadline aborts the probe phase (no further probes are
+// dispatched, in-flight probes abandon their round-trip), the dispatch
+// RPC and the wait for the chain's result, returning an error wrapping
+// ctx.Err(). Work already forwarded to remote owners runs to completion
+// there — its result message is simply dropped at the origin.
 func (e *Engine) ChainJoinConcurrentContext(ctx context.Context, table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
 	if len(keys) == 0 {
 		return nil, OpStats{}, fmt.Errorf("pier: chain join needs at least one key")
@@ -283,7 +292,9 @@ func (e *Engine) chainJoinConcurrentRun(ctx context.Context, table string, keys 
 		if err := ctx.Err(); err != nil {
 			return nil, stats, fmt.Errorf("pier: chain join: %w", err)
 		}
-		sort.SliceStable(probes, func(i, j int) bool { return probes[i].count < probes[j].count })
+		if e.cfg.OrderBySelectivity {
+			sort.SliceStable(probes, func(i, j int) bool { return probes[i].count < probes[j].count })
+		}
 		ordered := make([]Value, len(probes))
 		for i, p := range probes {
 			ordered[i] = p.key

@@ -3,8 +3,13 @@ package pier
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+
+	"piersearch/internal/bloom"
+	"piersearch/internal/dht"
+	"piersearch/internal/hotcache"
 )
 
 func TestPublishBatchStoresEverything(t *testing.T) {
@@ -78,55 +83,184 @@ func chainEnv(t *testing.T, cfg Config) *testEnv {
 	return env
 }
 
-func TestChainJoinConcurrentMatchesSequential(t *testing.T) {
-	env := chainEnv(t, Config{OrderBySelectivity: true, Workers: 8})
-	keys := []Value{String("common"), String("artist"), String("rareterm")}
-
-	seq, _, err := env.engines[5].ChainJoinContext(context.Background(), "Inverted", keys, "fileID", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, stats, err := env.engines[5].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := valueSet(seq), valueSet(conc)
-	if len(want) != len(got) {
-		t.Fatalf("result mismatch: sequential %d values, concurrent %d", len(want), len(got))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("concurrent join lost %q", k)
+// scanOracle intersects the fileIDs every node holds locally under each
+// key: the join's answer computed without the network.
+func scanOracle(t *testing.T, env *testEnv, keys []Value) map[string]bool {
+	t.Helper()
+	var out map[string]bool
+	for _, k := range keys {
+		held := map[string]bool{}
+		for _, e := range env.engines {
+			tuples, err := e.scan(invertedSchema, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tu := range tuples {
+				if id := string(tu[1].Raw()); out == nil || out[id] {
+					held[id] = true
+				}
+			}
 		}
+		out = held
 	}
-	if stats.MaxInFlight < 1 {
-		t.Errorf("MaxInFlight = %d, want >= 1", stats.MaxInFlight)
+	return out
+}
+
+// TestChainJoinConcurrentMatchesSequential runs the chain join with its
+// probes one at a time and eight in flight: both must return the local
+// scans' intersection.
+func TestChainJoinConcurrentMatchesSequential(t *testing.T) {
+	keys := []Value{String("common"), String("artist"), String("rareterm")}
+	for _, workers := range []int{1, 8} {
+		env := chainEnv(t, Config{OrderBySelectivity: true, Workers: workers})
+		want := scanOracle(t, env, keys)
+		if len(want) != 2 {
+			t.Fatalf("oracle holds %d fileIDs, want 2", len(want))
+		}
+		vals, stats, err := env.engines[5].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := valueSet(vals)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d values, want %d", workers, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Errorf("workers=%d: join lost %q", workers, k)
+			}
+		}
+		if stats.MaxInFlight < 1 || (workers == 1 && stats.MaxInFlight != 1) {
+			t.Errorf("workers=%d: MaxInFlight = %d", workers, stats.MaxInFlight)
+		}
 	}
 }
 
+// TestChainJoinConcurrentPrunesShipping: in its given order the chain
+// starts from the 32-entry "common" list, and the Bloom pre-join still
+// cuts what it ships to the candidates the "rareterm" filter admits.
 func TestChainJoinConcurrentPrunesShipping(t *testing.T) {
 	env := chainEnv(t, Config{OrderBySelectivity: false, Workers: 8})
 	keys := []Value{String("common"), String("rareterm")}
 
-	_, seqStats, err := env.engines[3].ChainJoinContext(context.Background(), "Inverted", keys, "fileID", 0)
+	first, _, err := env.engines[3].FetchContext(context.Background(), "Inverted", keys[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, concStats, err := env.engines[3].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
+	vals, stats, err := env.engines[3].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(conc) != 2 {
-		t.Fatalf("concurrent join returned %d values, want 2", len(conc))
+	if len(vals) != 2 {
+		t.Fatalf("join returned %d values, want 2", len(vals))
 	}
-	// The naive chain ships the whole "common" posting list (32 entries);
-	// ordering plus the Bloom pre-join must cut that to the candidates.
-	if concStats.PostingShipped >= seqStats.PostingShipped {
-		t.Errorf("PostingShipped: concurrent %d, naive sequential %d — no pruning",
-			concStats.PostingShipped, seqStats.PostingShipped)
+	if stats.PostingShipped >= len(first) {
+		t.Errorf("PostingShipped = %d, not below the first list's %d entries: no pruning",
+			stats.PostingShipped, len(first))
 	}
-	if concStats.PostingShipped > 4 {
-		t.Errorf("PostingShipped = %d, want <= 4 after Bloom pre-join", concStats.PostingShipped)
+	if stats.PostingShipped > 4 {
+		t.Errorf("PostingShipped = %d, want <= 4 after Bloom pre-join", stats.PostingShipped)
+	}
+}
+
+// hostileProbeFilters are probe-reply filters the origin must drop: a
+// valid filter of another geometry, and every shape bloom's decoder
+// rejects.
+func hostileProbeFilters() map[string][]byte {
+	small := bloom.New(64, filterHashes)
+	small.AddString("x")
+	valid64, _ := small.MarshalBinary()
+	return map[string][]byte{
+		"valid 64 bits":             valid64,
+		"zero bits":                 hostileFilter(0, 1, 0),
+		"word count wraps":          hostileFilter(math.MaxUint64, 1, 0),
+		"bits not a multiple of 64": hostileFilter(65, 1, 2),
+		"zero hashes":               hostileFilter(64, 0, 1),
+		"hashes overflow uint32":    hostileFilter(64, 1<<32+1, 1),
+		"length mismatch":           hostileFilter(128, 1, 1),
+	}
+}
+
+// TestProbeReplyOfAnotherGeometryIsDropped: every owner answers each
+// probe with its true count and a filter the origin did not ask for, so
+// both later keys of a three-key join come back unusable. The origin must
+// ship no pre-join filter to the first key's owner and still return the
+// join's answer.
+func TestProbeReplyOfAnotherGeometryIsDropped(t *testing.T) {
+	keys := []Value{String("common"), String("artist"), String("rareterm")}
+	for name, filter := range hostileProbeFilters() {
+		t.Run(name, func(t *testing.T) {
+			env := chainEnv(t, Config{Workers: 8})
+			var mu sync.Mutex
+			shipped := 0 // step-0 chain messages that carried a filter
+			for _, e := range env.engines {
+				e.node.RegisterApp(appBloom, func(from dht.NodeInfo, data []byte) []byte {
+					br, err := decodeBloomReply(e.handleBloom(from, data))
+					if err != nil || br.Err != "" {
+						t.Errorf("honest probe failed: %+v, %v", br, err)
+					}
+					br.Filter = filter
+					return encodeBloomReply(nil, &br)
+				})
+				e.node.RegisterApp(appChain, func(from dht.NodeInfo, data []byte) []byte {
+					if msg, err := decodeChainMsg(data); err == nil && msg.Step == 0 && len(msg.Filter) > 0 {
+						mu.Lock()
+						shipped++
+						mu.Unlock()
+					}
+					return e.handleChain(from, data)
+				})
+			}
+			vals, _, err := env.engines[3].ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := scanOracle(t, env, keys)
+			got := valueSet(vals)
+			if len(got) != len(want) {
+				t.Fatalf("join returned %d values, want %d", len(got), len(want))
+			}
+			for k := range want {
+				if !got[k] {
+					t.Errorf("join lost %q", k)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if shipped != 0 {
+				t.Errorf("%d step-0 messages carried a pre-join filter, want none", shipped)
+			}
+		})
+	}
+}
+
+// TestCountProbeLeavesJoinFilterUncached pins that the probe cache keys
+// on the join column: a count-only reply cached by CountContext must not
+// answer a later join's probe, or the join would lose its filter.
+func TestCountProbeLeavesJoinFilterUncached(t *testing.T) {
+	env := chainEnv(t, Config{Workers: 8})
+	installTiers(env, hotcache.Options{})
+	keys := []Value{String("common"), String("rareterm")}
+	e := env.engines[3]
+	for _, k := range keys {
+		if _, _, err := e.CountContext(context.Background(), "Inverted", k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, _, err := e.FetchContext(context.Background(), "Inverted", keys[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, stats, err := e.ChainJoinConcurrentContext(context.Background(), "Inverted", keys, "fileID", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vals) != 2 {
+		t.Fatalf("join returned %d values, want 2", len(vals))
+	}
+	if stats.PostingShipped >= len(first) {
+		t.Errorf("PostingShipped = %d, not below the first list's %d entries: the count-only probe hid the filter",
+			stats.PostingShipped, len(first))
 	}
 }
 

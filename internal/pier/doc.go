@@ -17,27 +17,26 @@
 //     PublishBatchContext fans a set of independent tuples out through a
 //     bounded worker pool, hiding per-put routing latency (the paper's
 //     publishing dominates its measured overhead).
-//   - FetchContext and CountContext read one key's list, or its size,
-//     from the DHT.
-//   - ChainJoinContext runs the Figure 2 plan with serial selectivity
-//     probes; ChainJoinConcurrentContext probes every keyword owner in
-//     parallel for a posting-list count plus a Bloom filter of its
-//     fileIDs, orders the chain smallest-first, and ships the
-//     intersection of the later keys' filters with the plan so step 0
-//     forwards only candidates that can survive every later join.
-//     Results are identical (Bloom filters have no false negatives);
-//     only traffic and latency shrink.
+//   - FetchContext reads one key's posting list from the DHT;
+//     CountContext asks the key's owner for the list's size.
+//   - ChainJoinConcurrentContext runs the Figure 2 plan. It probes every
+//     keyword owner for a posting-list count plus a Bloom filter of its
+//     fileIDs (one probe message, of which CountContext is the
+//     filterless form), orders the chain by the counts, and ships the
+//     intersection of the later keys' filters with the plan, so step 0
+//     forwards only candidates that can survive every later join. Bloom
+//     filters have no false negatives, so the pre-join changes traffic
+//     and latency, never answers. Every filter has one fixed geometry
+//     (8192 bits, 4 hashes: 1 KiB); a peer's filter of any other shape
+//     is dropped and the chain runs unpruned.
 //   - CacheSelectContext runs the Figure 3 plan in one round-trip.
 //
 // Knobs live on Config:
 //
-//   - Workers bounds in-flight DHT operations per engine call
-//     (default 8; 1 reproduces the fully sequential engine).
-//   - BloomBits, BloomHashes set the pre-join filter geometry
-//     (default 8192 bits / 4 hashes, i.e. 1 KiB per filter).
-//   - OrderBySelectivity enables smallest-list-first chain ordering for
-//     ChainJoinContext (§5); ChainJoinConcurrentContext always orders,
-//     since its probes are prepaid.
+//   - Workers bounds in-flight DHT operations per engine call, the chain
+//     join's probes included (default 8; 1 runs them one at a time).
+//   - OrderBySelectivity runs the chain smallest posting list first, by
+//     the probed counts (§5); off, it runs in the keys' given order.
 //
 // OpStats reports per-operation traffic (messages, bytes, hops, posting
 // entries shipped) plus MaxInFlight, the concurrency high-water mark

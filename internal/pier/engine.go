@@ -3,7 +3,6 @@ package pier
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,8 +16,7 @@ import (
 // App-handler dispatch keys on the DHT's application channel.
 const (
 	appChain  = "pier.chain"  // distributed SHJ chain step
-	appCount  = "pier.count"  // posting-list cardinality probe
-	appBloom  = "pier.bloom"  // posting-list cardinality + Bloom filter probe
+	appBloom  = "pier.bloom"  // posting-list cardinality (+ Bloom filter) probe
 	appCache  = "pier.cache"  // InvertedCache single-site plan
 	appResult = "pier.result" // final results streamed back to the origin
 )
@@ -99,12 +97,6 @@ type resultMsg struct {
 	Err     string
 }
 
-// countMsg asks a key owner for its local posting-list size.
-type countMsg struct {
-	Table string
-	Key   Value
-}
-
 // cacheMsg executes the InvertedCache plan at the owner of Key: scan the
 // local list, keep tuples whose TextCol contains every Filter substring.
 type cacheMsg struct {
@@ -131,21 +123,15 @@ type cacheReply struct {
 
 // Config holds engine parameters.
 type Config struct {
-	// OrderBySelectivity makes multi-key joins probe posting-list sizes
-	// first and execute smallest-first (§5's "optimized to compute smaller
-	// posting lists first"). Disable for the ablation benchmark.
+	// OrderBySelectivity makes multi-key joins execute smallest posting
+	// list first, by the counts the chain's probes return (§5's
+	// "optimized to compute smaller posting lists first"). Disable for the
+	// ablation benchmark.
 	OrderBySelectivity bool
 	// Workers bounds how many DHT operations one engine call keeps in
-	// flight at once (PublishBatch fan-out, selectivity probes, the
-	// ChainJoinConcurrent probe phase). 1 means fully sequential; zero
-	// means the default of 8.
+	// flight at once (PublishBatch fan-out, the chain join's probe phase).
+	// 1 means fully sequential; zero means the default of 8.
 	Workers int
-	// BloomBits and BloomHashes fix the geometry of the posting-list
-	// filters ChainJoinConcurrent intersects for its pre-join. All probes
-	// of one query must agree on geometry, so these are engine-level.
-	// Zero means 8192 bits / 4 hashes (1 KiB per filter).
-	BloomBits   uint64
-	BloomHashes uint32
 }
 
 // chainTimeout bounds how long a distributed join waits for its result
@@ -155,18 +141,6 @@ const chainTimeout = 30 * time.Second
 func (c Config) normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = 8
-	}
-	if c.BloomBits == 0 {
-		c.BloomBits = 8192
-	}
-	if c.BloomBits > maxBloomBits {
-		c.BloomBits = maxBloomBits // owners reject larger probe requests
-	}
-	if c.BloomHashes == 0 {
-		c.BloomHashes = 4
-	}
-	if c.BloomHashes > maxBloomHashes {
-		c.BloomHashes = maxBloomHashes
 	}
 	return c
 }
@@ -197,7 +171,6 @@ func NewEngine(node *dht.Node, cfg Config) *Engine {
 		waiters: make(map[uint64]chan resultMsg),
 	}
 	node.RegisterApp(appChain, e.handleChain)
-	node.RegisterApp(appCount, e.handleCount)
 	node.RegisterApp(appBloom, e.handleBloom)
 	node.RegisterApp(appCache, e.handleCache)
 	node.RegisterApp(appResult, e.handleResult)
@@ -264,7 +237,7 @@ func decodeValues(values []dht.StoredValue) ([]Tuple, error) {
 	return out, nil
 }
 
-// LocalScan returns the tuples of table stored on this node under key,
+// scan returns the tuples of sch's table stored on this node under key,
 // without any network traffic. A STORE carries raw bytes from any peer, so
 // the scan drops every tuple that fails the table's Schema.Validate — the
 // check PublishContext runs at the origin — and owner-side handlers index
@@ -272,15 +245,6 @@ func decodeValues(values []dht.StoredValue) ([]Tuple, error) {
 // posting set is cached (and invalidated when a new replica store for the
 // key arrives), so repeated scans of a hot key skip the per-request
 // decode; callers must treat the returned tuples as immutable.
-func (e *Engine) LocalScan(table string, key Value) ([]Tuple, error) {
-	sch, ok := e.Schema(table)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, table)
-	}
-	return e.scan(sch, key)
-}
-
-// scan is LocalScan for a handler that has already resolved the schema.
 func (e *Engine) scan(sch *Schema, key Value) ([]Tuple, error) {
 	id := keyID(sch.Name, key)
 	t := e.hot.Load()
@@ -327,63 +291,13 @@ func (e *Engine) FetchContext(ctx context.Context, table string, key Value) ([]T
 }
 
 // CountContext asks the owner of (table, key) for its local posting-list
-// size. With a hot tier installed the probe is cached, coalesced with
-// identical in-flight probes, and fanned out across replicas for hot keys.
+// size: the chain join's probe with no join column, so the owner answers
+// with a count and no filter. With a hot tier installed the probe is
+// cached, coalesced with identical in-flight probes, and fanned out across
+// replicas for hot keys.
 func (e *Engine) CountContext(ctx context.Context, table string, key Value) (int, dht.LookupStats, error) {
-	n, st, err := e.countCached(ctx, table, key)
-	return n, dht.LookupStats{Messages: st.Messages, Bytes: st.Bytes, Hops: st.Hops}, err
-}
-
-func (e *Engine) handleCount(_ dht.NodeInfo, data []byte) []byte {
-	msg, err := decodeCountMsg(data)
-	if err != nil {
-		return encodeCountReply(nil, 0)
-	}
-	tuples, err := e.LocalScan(msg.Table, msg.Key)
-	if err != nil {
-		return encodeCountReply(nil, 0)
-	}
-	return encodeCountReply(nil, len(tuples))
-}
-
-// ChainJoinContext executes the paper's Figure 2 plan: an equality lookup
-// of each key in order, joined on joinCol by a chain of symmetric hash
-// joins across the owning nodes, with the surviving joinCol values streamed
-// back to this node. keys are index-key values for table (e.g. keywords for
-// Inverted). Cancellation or deadline aborts the selectivity probes, the
-// dispatch RPC and the wait for the chain's result, returning an error
-// wrapping ctx.Err(). Work already forwarded to remote owners runs to
-// completion there — its result message is simply dropped at the origin.
-func (e *Engine) ChainJoinContext(ctx context.Context, table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
-	var stats OpStats
-	if len(keys) == 0 {
-		return nil, stats, fmt.Errorf("pier: chain join needs at least one key")
-	}
-	sch, ok := e.Schema(table)
-	if !ok {
-		return nil, stats, fmt.Errorf("%w: %s", ErrNoSuchTable, table)
-	}
-	if sch.ColIndex(joinCol) < 0 {
-		return nil, stats, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, joinCol)
-	}
-
-	return e.joinCached(ctx, table, keys, joinCol, limit, func(ctx context.Context) ([]Value, OpStats, error) {
-		var stats OpStats
-		ordered := keys
-		if e.cfg.OrderBySelectivity && len(ordered) > 1 {
-			ordered = e.orderBySelectivity(ctx, table, ordered, &stats)
-			if err := ctx.Err(); err != nil {
-				return nil, stats, fmt.Errorf("pier: chain join: %w", err)
-			}
-		}
-		msg := chainMsg{
-			Table:   table,
-			JoinCol: joinCol,
-			Keys:    ordered,
-			Origin:  e.node.Info(),
-		}
-		return e.dispatchChain(ctx, msg, &stats, limit)
-	})
+	br, st, err := e.bloomProbe(ctx, table, key, "")
+	return br.Count, dht.LookupStats{Messages: st.Messages, Bytes: st.Bytes, Hops: st.Hops}, err
 }
 
 // dispatchChain registers a result waiter, ships msg to the owner of the
@@ -427,41 +341,6 @@ func (e *Engine) dispatchChain(ctx context.Context, msg chainMsg, stats *OpStats
 	case <-time.After(chainTimeout):
 		return nil, *stats, fmt.Errorf("pier: chain join %d timed out after %v", qid, chainTimeout)
 	}
-}
-
-// orderBySelectivity probes each key's posting-list size and returns keys
-// sorted ascending, so the chain starts with the smallest list. Probes are
-// issued with up to cfg.Workers in flight.
-func (e *Engine) orderBySelectivity(ctx context.Context, table string, keys []Value, stats *OpStats) []Value {
-	type sized struct {
-		key Value
-		n   int
-	}
-	var mu sync.Mutex
-	sizedKeys := make([]sized, len(keys))
-	for i, k := range keys {
-		sizedKeys[i] = sized{k, 1 << 30} // unknown (unprobed or failed): order last
-	}
-	var g gauge
-	forEachCtx(ctx, len(keys), e.cfg.Workers, &g, func(i int) {
-		n, st, err := e.countCached(ctx, table, keys[i])
-		if err != nil {
-			n = 1 << 30
-		}
-		mu.Lock()
-		stats.Add(st)
-		mu.Unlock()
-		sizedKeys[i] = sized{keys[i], n}
-	})
-	if g.high() > stats.MaxInFlight {
-		stats.MaxInFlight = g.high()
-	}
-	sort.SliceStable(sizedKeys, func(i, j int) bool { return sizedKeys[i].n < sizedKeys[j].n })
-	out := make([]Value, len(keys))
-	for i, s := range sizedKeys {
-		out[i] = s.key
-	}
-	return out
 }
 
 func keyID(table string, key Value) dht.ID { return dht.NamespacedID(table, key.Key()) }

@@ -9,8 +9,7 @@ package pier
 //
 //	p|<id>          owner-side posting scan      []Tuple
 //	f|<table>|<key> requester-side fetch         []Tuple  (key = Value.Key(): no hash to probe)
-//	c|<id>          posting-list count probe     int
-//	b|<geo>|<id>    bloom count+filter probe     bloomReply
+//	b|<col>|<id>    count(+filter) probe         bloomReply (col = join column, empty: count only)
 //	j|<sig>         chain-join result            []Value
 //	s|<sig>         InvertedCache plan result    []Tuple
 //	r|<id>          replica-set resolution       []dht.NodeInfo (route cache)
@@ -167,53 +166,6 @@ func holdersFor(self dht.NodeInfo, closest []dht.NodeInfo, key dht.ID, replicas 
 	return exact
 }
 
-// countCached is the count probe behind CountContext and the
-// selectivity orderer: tier-cached, singleflight-coalesced, fanned out
-// for hot keys.
-func (e *Engine) countCached(ctx context.Context, table string, key Value) (int, OpStats, error) {
-	var stats OpStats
-	id := keyID(table, key)
-	do := func() (int, error) {
-		buf := encodeCountMsg(codec.GetBuf(), &countMsg{Table: table, Key: key})
-		reply, err := e.sendRead(ctx, id, appCount, buf, &stats)
-		codec.PutBuf(buf)
-		if err != nil {
-			return 0, err
-		}
-		n, err := decodeCountReply(reply)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrDecode, err)
-		}
-		return n, nil
-	}
-	t := e.hot.Load()
-	if t == nil {
-		n, err := do()
-		return n, stats, err
-	}
-	tag := string(id[:])
-	ck := "c|" + tag
-	if v, ok := t.Data.Get(ck); ok {
-		stats.CacheHits++
-		return v.(int), stats, nil
-	}
-	v, shared, err := t.Flights.Do(ctx, ck, func() (any, error) {
-		n, err := do()
-		if err != nil {
-			return nil, err
-		}
-		t.Data.Put(ck, n, 16, tag)
-		return n, nil
-	})
-	if shared {
-		stats.Coalesced++
-	}
-	if err != nil {
-		return 0, stats, err
-	}
-	return v.(int), stats, nil
-}
-
 // fetchKey is the requester-side cache key of a fetch: the relation and the
 // key's own bytes, so a probe costs no hash. The SHA-1 DHT id is computed
 // only on a miss, where it routes the lookup and tags the entry for
@@ -324,13 +276,15 @@ func (e *Engine) FetchCachedBatchContext(ctx context.Context, table string, keys
 	return fetched, stats
 }
 
-// bloomProbe is the count+filter probe behind ChainJoinConcurrent's
-// probe phase, cached per key and bloom geometry.
+// bloomProbe is the probe behind the chain join's probe phase (a count
+// and a filter of joinCol) and CountContext (joinCol empty: the count
+// alone). It is cached per key and join column, so a count-only reply
+// never stands in for a join's filter.
 func (e *Engine) bloomProbe(ctx context.Context, table string, key Value, joinCol string) (bloomReply, OpStats, error) {
 	var stats OpStats
 	id := keyID(table, key)
 	do := func() (bloomReply, error) {
-		req := bloomMsg{Table: table, Key: key, JoinCol: joinCol, Bits: e.cfg.BloomBits, Hashes: e.cfg.BloomHashes}
+		req := bloomMsg{Table: table, Key: key, JoinCol: joinCol}
 		buf := encodeBloomMsg(codec.GetBuf(), &req)
 		reply, err := e.sendRead(ctx, id, appBloom, buf, &stats)
 		codec.PutBuf(buf)
@@ -352,7 +306,7 @@ func (e *Engine) bloomProbe(ctx context.Context, table string, key Value, joinCo
 		return br, stats, err
 	}
 	tag := string(id[:])
-	ck := "b|" + strconv.FormatUint(e.cfg.BloomBits, 10) + "." + strconv.FormatUint(uint64(e.cfg.BloomHashes), 10) + "|" + tag
+	ck := "b|" + joinCol + "|" + tag
 	if v, ok := t.Data.Get(ck); ok {
 		stats.CacheHits++
 		return v.(bloomReply), stats, nil

@@ -113,9 +113,9 @@ func TestHotTierSingleflightCoalesces(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			n, st, err := e.countCached(context.Background(), "Inverted", key)
-			if err != nil || n != 1 {
-				t.Errorf("count = %d, %v; want 1", n, err)
+			br, st, err := e.bloomProbe(context.Background(), "Inverted", key, "")
+			if err != nil || br.Count != 1 {
+				t.Errorf("count = %d, %v; want 1", br.Count, err)
 				return
 			}
 			mu.Lock()

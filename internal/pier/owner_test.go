@@ -235,11 +235,11 @@ func TestChainStepUnknownJoinColumn(t *testing.T) {
 	}
 }
 
-// hostileFilter is a marshalled Bloom filter header claiming m bits and one
-// hash, followed by words zero words.
-func hostileFilter(m uint64, words int) []byte {
+// hostileFilter is a marshalled Bloom filter header claiming m bits and k
+// hashes, followed by words zero words.
+func hostileFilter(m, k uint64, words int) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, m)
-	b = binary.LittleEndian.AppendUint64(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, k)
 	b = binary.LittleEndian.AppendUint64(b, 0)
 	return append(b, make([]byte, 8*words)...)
 }
@@ -262,14 +262,14 @@ func stepZeroIgnoresFilter(t *testing.T, filter []byte) {
 // TestChainStepZeroBitFilter: a pre-join filter claiming 0 bits (24 bytes,
 // so its length matches) made the first Test divide by zero.
 func TestChainStepZeroBitFilter(t *testing.T) {
-	stepZeroIgnoresFilter(t, hostileFilter(0, 0))
+	stepZeroIgnoresFilter(t, hostileFilter(0, 1, 0))
 }
 
 // TestChainStepWrappedBitCountFilter: a pre-join filter claiming 2⁶⁴−1
 // bits wrapped the word count to 0, and the first Test indexed past the
 // empty bit array.
 func TestChainStepWrappedBitCountFilter(t *testing.T) {
-	stepZeroIgnoresFilter(t, hostileFilter(math.MaxUint64, 0))
+	stepZeroIgnoresFilter(t, hostileFilter(math.MaxUint64, 1, 0))
 }
 
 // TestOwnerScanDropsMalformedTuples pins that tuples a peer stored
@@ -298,15 +298,15 @@ func TestOwnerScanDropsMalformedTuples(t *testing.T) {
 				if got := cacheScan(t, e, cacheMsg{Table: "InvertedCache", Key: alpha, TextCol: "fulltext"}); len(got) != 1 {
 					t.Fatalf("cache scan returned %d tuples, want 1", len(got))
 				}
-				if ts, err := e.LocalScan("Inverted", alpha); err != nil || len(ts) != 1 {
-					t.Fatalf("LocalScan = %v, %v; want the one valid tuple", ts, err)
+				if ts, err := e.scan(invertedSchema, alpha); err != nil || len(ts) != 1 {
+					t.Fatalf("scan = %v, %v; want the one valid tuple", ts, err)
 				}
-				n, err := decodeCountReply(e.handleCount(e.node.Info(), encodeCountMsg(nil, &countMsg{Table: "Inverted", Key: alpha})))
-				if err != nil || n != 1 {
-					t.Fatalf("count probe = %d, %v; want 1", n, err)
+				br, err := decodeBloomReply(e.handleBloom(e.node.Info(), encodeBloomMsg(nil, &bloomMsg{Table: "Inverted", Key: alpha})))
+				if err != nil || br.Err != "" || br.Count != 1 || br.Filter != nil {
+					t.Fatalf("count probe = %+v, %v; want count 1 and no filter", br, err)
 				}
-				br, err := decodeBloomReply(e.handleBloom(e.node.Info(), encodeBloomMsg(nil, &bloomMsg{
-					Table: "InvertedCache", Key: alpha, JoinCol: "fileID", Bits: 1024, Hashes: 4,
+				br, err = decodeBloomReply(e.handleBloom(e.node.Info(), encodeBloomMsg(nil, &bloomMsg{
+					Table: "InvertedCache", Key: alpha, JoinCol: "fileID",
 				})))
 				if err != nil || br.Err != "" || br.Count != 1 {
 					t.Fatalf("bloom probe = %+v, %v; want count 1", br, err)

@@ -21,8 +21,9 @@ import (
 	"piersearch/internal/dht"
 )
 
-// msgVersion is the format version stamped on every engine message.
-const msgVersion = 1
+// msgVersion is the format version stamped on every engine message. No
+// deployment mixes versions: a frame of any other version is refused.
+const msgVersion = 2
 
 // checkVersion consumes and validates the leading version byte.
 func checkVersion(r *codec.Reader) {
@@ -404,31 +405,6 @@ func decodeResultMsg(data []byte) (resultMsg, error) {
 	return m, r.Finish()
 }
 
-func encodeCountMsg(dst []byte, m *countMsg) []byte {
-	dst = append(dst, msgVersion)
-	dst = codec.AppendString(dst, m.Table)
-	return appendValue(dst, m.Key)
-}
-
-func decodeCountMsg(data []byte) (countMsg, error) {
-	r := codec.NewReader(data)
-	checkVersion(r)
-	m := countMsg{Table: r.String(), Key: readValue(r)}
-	return m, r.Finish()
-}
-
-func encodeCountReply(dst []byte, n int) []byte {
-	dst = append(dst, msgVersion)
-	return codec.AppendUvarint(dst, uint64(n))
-}
-
-func decodeCountReply(data []byte) (int, error) {
-	r := codec.NewReader(data)
-	checkVersion(r)
-	n := readInt(r)
-	return n, r.Finish()
-}
-
 func encodeCacheMsg(dst []byte, m *cacheMsg) []byte {
 	dst = append(dst, msgVersion)
 	dst = codec.AppendString(dst, m.Table)
@@ -485,17 +461,13 @@ func encodeBloomMsg(dst []byte, m *bloomMsg) []byte {
 	dst = append(dst, msgVersion)
 	dst = codec.AppendString(dst, m.Table)
 	dst = appendValue(dst, m.Key)
-	dst = codec.AppendString(dst, m.JoinCol)
-	dst = codec.AppendUvarint(dst, m.Bits)
-	return codec.AppendUvarint(dst, uint64(m.Hashes))
+	return codec.AppendString(dst, m.JoinCol)
 }
 
 func decodeBloomMsg(data []byte) (bloomMsg, error) {
 	r := codec.NewReader(data)
 	checkVersion(r)
 	m := bloomMsg{Table: r.String(), Key: readValue(r), JoinCol: r.String()}
-	m.Bits = r.Uvarint()
-	m.Hashes = uint32(r.Uvarint())
 	return m, r.Finish()
 }
 

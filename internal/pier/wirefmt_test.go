@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"piersearch/internal/bloom"
 	"piersearch/internal/dht"
 )
 
@@ -153,17 +154,6 @@ func TestResultMsgRoundTrip(t *testing.T) {
 }
 
 func TestSmallMessagesRoundTrip(t *testing.T) {
-	cm := countMsg{Table: "Inverted", Key: String("alpha")}
-	gotCM, err := decodeCountMsg(encodeCountMsg(nil, &cm))
-	if err != nil || !reflect.DeepEqual(gotCM, cm) {
-		t.Fatalf("countMsg: %+v, %v", gotCM, err)
-	}
-	for _, n := range []int{0, 1, 1 << 20} {
-		got, err := decodeCountReply(encodeCountReply(nil, n))
-		if err != nil || got != n {
-			t.Fatalf("countReply %d: %d, %v", n, got, err)
-		}
-	}
 	qm := cacheMsg{Table: "InvertedCache", Key: String("alpha"), TextCol: "fulltext", Filters: []string{"beta", "gamma"}, Limit: -1}
 	gotQM, err := decodeCacheMsg(encodeCacheMsg(nil, &qm))
 	if err != nil || !reflect.DeepEqual(gotQM, qm) {
@@ -174,7 +164,7 @@ func TestSmallMessagesRoundTrip(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(gotCR, cr) {
 		t.Fatalf("cacheReply: %+v, %v", gotCR, err)
 	}
-	bm := bloomMsg{Table: "Inverted", Key: String("alpha"), JoinCol: "fileID", Bits: 8192, Hashes: 4}
+	bm := bloomMsg{Table: "Inverted", Key: String("alpha"), JoinCol: "fileID"}
 	gotBM, err := decodeBloomMsg(encodeBloomMsg(nil, &bm))
 	if err != nil || !reflect.DeepEqual(gotBM, bm) {
 		t.Fatalf("bloomMsg: %+v, %v", gotBM, err)
@@ -199,18 +189,14 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 	frames := map[string][]byte{
 		"chain":      encodeChainMsg(nil, &m),
 		"result":     encodeResultMsg(nil, &resultMsg{QID: 1, Values: []Value{Bytes(benchFileID(0))}, Err: "e"}),
-		"count":      encodeCountMsg(nil, &countMsg{Table: "t", Key: String("k")}),
-		"countReply": encodeCountReply(nil, 77),
 		"cache":      encodeCacheMsg(nil, &cacheMsg{Table: "t", Key: String("k"), TextCol: "c", Filters: []string{"f"}, Limit: 5}),
 		"cacheReply": encodeCacheReply(nil, &cacheReply{Tuples: [][]byte{{1, 2, 3}}}),
-		"bloom":      encodeBloomMsg(nil, &bloomMsg{Table: "t", Key: String("k"), JoinCol: "c", Bits: 64, Hashes: 2}),
+		"bloom":      encodeBloomMsg(nil, &bloomMsg{Table: "t", Key: String("k"), JoinCol: "c"}),
 		"bloomReply": encodeBloomReply(nil, &bloomReply{Count: 3, Filter: []byte{8}}),
 	}
 	decoders := map[string]func([]byte) error{
 		"chain":      func(b []byte) error { _, err := decodeChainMsg(b); return err },
 		"result":     func(b []byte) error { _, err := decodeResultMsg(b); return err },
-		"count":      func(b []byte) error { _, err := decodeCountMsg(b); return err },
-		"countReply": func(b []byte) error { _, err := decodeCountReply(b); return err },
 		"cache":      func(b []byte) error { _, err := decodeCacheMsg(b); return err },
 		"cacheReply": func(b []byte) error { _, err := decodeCacheReply(b); return err },
 		"bloom":      func(b []byte) error { _, err := decodeBloomMsg(b); return err },
@@ -380,6 +366,33 @@ func FuzzDecodeChainMsg(f *testing.F) {
 		if again.QID != msg.QID || !valueSetsEqual(again.Candidates, msg.Candidates) {
 			t.Fatal("re-decode mismatch")
 		}
+	})
+}
+
+// FuzzDecodeBloomReply runs a peer's probe reply through the origin's
+// decode path: the reply codec, the pre-join filter check, and one Test.
+// Whatever filter it accepts has the fixed geometry. Run with:
+// go test -fuzz FuzzDecodeBloomReply ./internal/pier
+func FuzzDecodeBloomReply(f *testing.F) {
+	valid, _ := bloom.New(filterBits, filterHashes).MarshalBinary()
+	f.Add(encodeBloomReply(nil, &bloomReply{Count: 3, Filter: valid}))
+	f.Add(encodeBloomReply(nil, &bloomReply{Count: 3}))
+	for _, filter := range hostileProbeFilters() {
+		f.Add(encodeBloomReply(nil, &bloomReply{Count: 1, Filter: filter}))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br, err := decodeBloomReply(data)
+		if err != nil {
+			return
+		}
+		pre := decodePreJoinFilter(br.Filter)
+		if pre == nil {
+			return
+		}
+		if pre.Bits() != filterBits || pre.K() != filterHashes {
+			t.Fatalf("accepted a %d-bit, %d-hash filter", pre.Bits(), pre.K())
+		}
+		pre.TestString("probe")
 	})
 }
 

@@ -6,10 +6,9 @@ import (
 	"testing"
 )
 
-// TestQueryConcurrentMatchesSequential checks that the concurrent query
-// pipeline (parallel probes, Bloom pre-join, fetch fan-out) returns the
-// same results as the sequential reference plan, for both strategies and
-// several keyword counts.
+// TestQueryConcurrentMatchesSequential checks that the query pipeline
+// returns the same results with its fetches fanned out as with one at a
+// time, for both strategies and several keyword counts.
 func TestQueryConcurrentMatchesSequential(t *testing.T) {
 	e := newEnv(t, 12)
 	publishAll(t, e)
@@ -45,7 +44,7 @@ func TestQueryConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinShipsNoMorePostings verifies the Bloom pre-join never
+// TestConcurrentJoinShipsNoMorePostings verifies the fetch fan-out never
 // increases the posting traffic of the matching phase.
 func TestConcurrentJoinShipsNoMorePostings(t *testing.T) {
 	e := newEnv(t, 12)

@@ -33,7 +33,7 @@ func newRTEnv(t testing.TB) []*pier.Engine {
 	}
 	var engines []*pier.Engine
 	for _, node := range nodes {
-		e := pier.NewEngine(node, pier.Config{OrderBySelectivity: true, BloomBits: 1024})
+		e := pier.NewEngine(node, pier.Config{OrderBySelectivity: true})
 		piersearch.RegisterSchemas(e)
 		engines = append(engines, e)
 	}

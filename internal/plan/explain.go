@@ -112,12 +112,8 @@ func (o *ChainJoin) Describe() string {
 	for i, k := range o.Keys {
 		keys[i] = k.Text()
 	}
-	mode := "concurrent"
-	if o.Sequential {
-		mode = "sequential"
-	}
-	return fmt.Sprintf("ChainJoin(%s, keys=[%s], joinCol=%s, limit=%d, %s)",
-		o.Table, strings.Join(keys, " "), o.JoinCol, o.Limit, mode)
+	return fmt.Sprintf("ChainJoin(%s, keys=[%s], joinCol=%s, limit=%d)",
+		o.Table, strings.Join(keys, " "), o.JoinCol, o.Limit)
 }
 
 // Describe implements Describer.

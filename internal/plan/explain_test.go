@@ -47,7 +47,7 @@ func TestExplainRendersPlanShape(t *testing.T) {
 	for _, want := range []string{
 		"Limit(n=50)",
 		"DHTFetch(Item",
-		"ChainJoin(Inverted, keys=[alpha beta], joinCol=fileID, limit=50, concurrent)",
+		"ChainJoin(Inverted, keys=[alpha beta], joinCol=fileID, limit=50)",
 		"└─ ", // tree drawing
 	} {
 		if !strings.Contains(out, want) {

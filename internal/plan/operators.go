@@ -43,32 +43,27 @@ func (s *sliceSource) close() error {
 
 // ChainJoin runs the distributed symmetric-hash-join chain over the owners
 // of Keys (the paper's Figure 2 plan) and emits one single-column tuple
-// per surviving join value. With Sequential unset it uses the concurrent
-// chain: parallel count+Bloom probes per key, smallest-first ordering, and
-// an intersected-Bloom pre-join pruning the shipped candidates.
+// per surviving join value: count+Bloom probes per key, smallest-first
+// ordering when the engine sets OrderBySelectivity, and an
+// intersected-Bloom pre-join pruning the shipped candidates.
 //
 // The chain protocol delivers its survivors in one result message, so the
 // network work happens during Open; Next streams the buffered values.
 // Canceling the context during Open aborts the probe fan-out, the
 // dispatch RPC, and the wait for the result.
 type ChainJoin struct {
-	Engine     *pier.Engine
-	Table      string
-	Keys       []pier.Value
-	JoinCol    string
-	Limit      int // max join values returned; 0 = unlimited
-	Sequential bool
+	Engine  *pier.Engine
+	Table   string
+	Keys    []pier.Value
+	JoinCol string
+	Limit   int // max join values returned; 0 = unlimited
 
 	src sliceSource
 }
 
 // Open implements Operator.
 func (o *ChainJoin) Open(ctx context.Context) error {
-	join := o.Engine.ChainJoinConcurrentContext
-	if o.Sequential {
-		join = o.Engine.ChainJoinContext
-	}
-	values, st, err := join(ctx, o.Table, o.Keys, o.JoinCol, o.Limit)
+	values, st, err := o.Engine.ChainJoinConcurrentContext(ctx, o.Table, o.Keys, o.JoinCol, o.Limit)
 	o.src = sliceSource{ctx: ctx}
 	o.src.stats.addEngineOp(st)
 	if err != nil {

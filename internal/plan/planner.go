@@ -36,10 +36,9 @@ func (s Strategy) String() string {
 
 // Options tune plan execution without changing its result set.
 type Options struct {
-	// Workers bounds concurrent DHT operations per plan stage (probe
-	// fan-out, parallel item fetches). 0 means the engine default;
-	// 1 compiles the fully sequential chain (no parallel probes, no
-	// Bloom pre-join) — the ablation configuration.
+	// Workers bounds the parallel item fetches of the DHTFetch stage. 0
+	// means the engine default. The chain join's probe fan-out is bounded
+	// by the engine's own pier.Config.Workers.
 	Workers int
 }
 
@@ -135,12 +134,11 @@ func (p *Planner) Plan(q Query) (*CompiledPlan, error) {
 			keys[i] = pier.String(term)
 		}
 		match = &ChainJoin{
-			Engine:     p.Engine,
-			Table:      p.Catalog.PostingTable,
-			Keys:       keys,
-			JoinCol:    p.Catalog.JoinCol,
-			Limit:      q.Limit,
-			Sequential: q.Options.Workers == 1,
+			Engine:  p.Engine,
+			Table:   p.Catalog.PostingTable,
+			Keys:    keys,
+			JoinCol: p.Catalog.JoinCol,
+			Limit:   q.Limit,
 		}
 
 	case StrategyCache:

@@ -46,7 +46,7 @@ func TestDiskBackedClusterRunsPierPipeline(t *testing.T) {
 		}
 	}
 
-	got, _, err := engines[5].ChainJoinContext(context.Background(), piersearch.TableInverted,
+	got, _, err := engines[5].ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted,
 		[]pier.Value{pier.String("durable"), pier.String("gem")}, "fileID", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 	}
 
 	// With every holder gone, the join must come up empty.
-	got, _, err := queryEngine.ChainJoinContext(context.Background(), piersearch.TableInverted,
+	got, _, err := queryEngine.ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted,
 		[]pier.Value{pier.String("restartable"), pier.String("gem")}, "fileID", 0)
 	if err == nil && len(got) != 0 {
 		t.Fatalf("join with all holders down returned %d results, want 0", len(got))
@@ -156,7 +156,7 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 	// briefly: routing tables settle as the reborn nodes are observed.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got, _, err = queryEngine.ChainJoinContext(context.Background(), piersearch.TableInverted,
+		got, _, err = queryEngine.ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted,
 			[]pier.Value{pier.String("restartable"), pier.String("gem")}, "fileID", 0)
 		if err == nil && len(got) == 1 {
 			break
