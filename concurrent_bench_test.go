@@ -1,10 +1,11 @@
 package bench
 
 // Sequential-vs-concurrent benchmarks for the query/publish pipeline over
-// a latency-bearing simnet.RealTime topology. Unlike the figure benchmarks
-// above, which count messages over the zero-latency LocalNetwork, these
-// measure wall-clock time: every RPC pays a sampled one-way delay in real
-// time, so overlapping round-trips is the only way to go faster.
+// a dht.LocalNetwork whose links impose wall-clock latency (SetLatency).
+// Unlike the figure benchmarks above, which count messages over the
+// synchronous LocalNetwork, these measure wall-clock time: every RPC pays a
+// sampled one-way delay in real time, so overlapping round-trips is the
+// only way to go faster.
 //
 // TestConcurrentJoinSpeedup pins the headline acceptance number: the
 // 3-keyword StrategyJoin query must run at least 2x faster with 16 workers
@@ -23,11 +24,10 @@ import (
 
 // rtEnv is one latency-bearing cluster with PIERSearch deployed on it.
 type rtEnv struct {
-	rt      *simnet.RealTime
 	engines []*pier.Engine
 }
 
-// newRTEnv builds a 16-node RealTime cluster whose engines run with the
+// newRTEnv builds a 16-node cluster whose engines run with the
 // given worker bound, seeds the corpus at zero latency, then switches the
 // links to oneWay delay. The corpus gives a 3-keyword query ("alpha beta
 // gamma") 16 matching files plus a long non-matching tail on the first
@@ -40,12 +40,12 @@ func newRTEnv(tb testing.TB, workers int, oneWay time.Duration) *rtEnv {
 // newRTEnvWith is newRTEnv over an explicit DHT configuration.
 func newRTEnvWith(tb testing.TB, workers int, oneWay time.Duration, cfg dht.Config) *rtEnv {
 	tb.Helper()
-	rt, nodes, err := simnet.NewRealTimeCluster(16, 11, cfg, simnet.Constant(0))
+	c, err := dht.NewCluster(16, 11, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	env := &rtEnv{rt: rt}
-	for _, node := range nodes {
+	env := &rtEnv{}
+	for _, node := range c.Nodes {
 		e := pier.NewEngine(node, pier.Config{OrderBySelectivity: true, Workers: workers})
 		piersearch.RegisterSchemas(e)
 		env.engines = append(env.engines, e)
@@ -56,7 +56,7 @@ func newRTEnvWith(tb testing.TB, workers int, oneWay time.Duration, cfg dht.Conf
 			tb.Fatal(err)
 		}
 	}
-	rt.SetLatency(simnet.Constant(oneWay))
+	c.Net.SetLatency(simnet.Constant(oneWay))
 	return env
 }
 

@@ -49,8 +49,8 @@ type Config struct {
 	// store (store.DiskFactory) across a whole cluster. NewNode panics if
 	// the factory fails; callers that must handle storage-open errors
 	// should open the store first and return the instance from the
-	// factory, or build through NewCluster/NewRealTimeCluster, which
-	// surface factory errors.
+	// factory, or build through NewCluster, which surfaces factory
+	// errors.
 	NewStorage func(self NodeInfo) (Storage, error)
 
 	// Logger receives structured operational events (janitor sweep reclaim

@@ -298,6 +298,18 @@ func TestTrafficAccounting(t *testing.T) {
 	if d.ByKind["store"].Messages == 0 || d.ByKind["store"].Bytes == 0 {
 		t.Error("no store RPCs recorded for Put")
 	}
+
+	// The sender pays for a call to an unreachable node: two messages and
+	// the request's bytes, as for any call.
+	before = c.Net.Stats()
+	req := &Request{Kind: RPCPing, From: c.Nodes[0].Info()}
+	if _, err := c.Net.CallContext(context.Background(), NodeInfo{Addr: "nowhere"}, req); err == nil {
+		t.Fatal("call to an unreachable node succeeded")
+	}
+	d = c.Net.Stats().Sub(before)
+	if ping := d.ByKind["ping"]; d.Messages != 2 || d.Bytes != uint64(req.WireSize()) || ping.Messages != 2 || ping.Bytes != d.Bytes {
+		t.Errorf("unreachable call charged %d msgs / %d bytes (ping %+v), want 2 / %d", d.Messages, d.Bytes, ping, req.WireSize())
+	}
 }
 
 func TestConfigNormalize(t *testing.T) {

@@ -5,7 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 )
+
+// LatencyModel produces a one-way link delay for each message. Package
+// simnet supplies the models (Constant, Uniform, WideArea).
+type LatencyModel interface {
+	Delay(rng *rand.Rand) time.Duration
+}
 
 // KindStats are per-RPC-kind traffic counters.
 type KindStats struct {
@@ -36,18 +43,20 @@ func (s TrafficStats) Sub(prev TrafficStats) TrafficStats {
 }
 
 // LocalNetwork is an in-process Transport: RPCs are direct method calls on
-// the destination node, with wire-size accounting and optional failure
-// injection. It is safe for concurrent use.
+// the destination node, with wire-size accounting, optional failure
+// injection and optional wall-clock link latency (SetLatency). It is safe
+// for concurrent use.
 type LocalNetwork struct {
 	mu       sync.Mutex
 	nodes    map[string]*Node
 	stats    TrafficStats
 	failProb float64
+	latency  LatencyModel // nil: synchronous delivery
 	rng      *rand.Rand
 }
 
 // NewLocalNetwork creates an empty local transport. seed drives failure
-// injection.
+// injection and latency sampling.
 func NewLocalNetwork(seed int64) *LocalNetwork {
 	return &LocalNetwork{
 		nodes: make(map[string]*Node),
@@ -82,9 +91,30 @@ func (ln *LocalNetwork) Stats() TrafficStats {
 	return out
 }
 
-// CallContext implements Transport. Delivery is synchronous, so the
-// context is consulted at the call boundary: a canceled or expired context
-// fails the RPC before the destination handler runs.
+// SetLatency makes every later call block its goroutine for a delay drawn
+// from m on the request leg and another on the response leg, so
+// overlapped calls overlap their latency and sequential calls pay it
+// serially, as over a wide-area network: the substrate for measuring what
+// the concurrent query/publish pipeline buys. nil restores synchronous
+// delivery.
+//
+//lint:allow unusedexport the wall-clock cluster tests of dht, plan, store and the root package set link latency with it
+func (ln *LocalNetwork) SetLatency(m LatencyModel) {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	ln.latency = m
+}
+
+// CallContext implements Transport. A canceled or expired context fails
+// the RPC at the call boundary, before the destination handler runs.
+// Cancellation during a nonzero latency leg abandons the RPC at once: the
+// request or response is lost in flight, and the handler does not run
+// after a request-leg cancel. A zero leg neither sleeps nor consults ctx,
+// so a synchronous call whose handler ran returns its response.
+//
+// The sender pays for what it sends: every call, including one to an
+// unreachable or failed destination, is charged two messages and the
+// request's bytes; the response's bytes are charged when it arrives.
 func (ln *LocalNetwork) CallContext(ctx context.Context, to NodeInfo, req *Request) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("dht: call %s: %w", to.Addr, err)
@@ -94,6 +124,10 @@ func (ln *LocalNetwork) CallContext(ctx context.Context, to NodeInfo, req *Reque
 	ln.mu.Lock()
 	node, ok := ln.nodes[to.Addr]
 	failed := ok && ln.failProb > 0 && ln.rng.Float64() < ln.failProb
+	var there, back time.Duration
+	if ln.latency != nil {
+		there, back = ln.latency.Delay(ln.rng), ln.latency.Delay(ln.rng)
+	}
 	ln.stats.Messages += 2
 	ln.stats.Bytes += reqBytes
 	ks := ln.stats.ByKind[kind]
@@ -108,7 +142,13 @@ func (ln *LocalNetwork) CallContext(ctx context.Context, to NodeInfo, req *Reque
 	if failed {
 		return nil, fmt.Errorf("dht: call to %s dropped (failure injection)", to.Addr)
 	}
+	if err := sleepLeg(ctx, there); err != nil {
+		return nil, fmt.Errorf("dht: call %s: %w", to.Addr, err)
+	}
 	resp := node.HandleRPC(req)
+	if err := sleepLeg(ctx, back); err != nil {
+		return nil, fmt.Errorf("dht: call %s: %w", to.Addr, err)
+	}
 	respBytes := uint64(resp.WireSize())
 	ln.mu.Lock()
 	ln.stats.Bytes += respBytes
@@ -117,4 +157,20 @@ func (ln *LocalNetwork) CallContext(ctx context.Context, to NodeInfo, req *Reque
 	ln.stats.ByKind[kind] = ks
 	ln.mu.Unlock()
 	return resp, nil
+}
+
+// sleepLeg sleeps one latency leg of d, returning ctx.Err() if ctx is done
+// first. A zero leg returns nil at once.
+func sleepLeg(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

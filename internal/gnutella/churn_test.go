@@ -1,9 +1,6 @@
 package gnutella
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestChurnDetachedUltrapeerStopsAnswering(t *testing.T) {
 	topo := smallTopo(t)
@@ -50,51 +47,5 @@ func TestChurnFloodingRoutesAroundFailure(t *testing.T) {
 	net.Sim.Run()
 	if len(q.Results) != 1 {
 		t.Errorf("flood failed to route around a dead neighbour: %d results", len(q.Results))
-	}
-}
-
-func TestBrowseHost(t *testing.T) {
-	topo := smallTopo(t)
-	leaf := 200
-	lib := libWith(t, topo, map[HostID][]string{leaf: {"shared a.mp3", "shared b.mp3"}})
-	net := NewNetwork(topo, lib, NetworkConfig{Seed: 4})
-	var got []SharedFile
-	net.BrowseHost(0, leaf, func(files []SharedFile) { got = files })
-	net.Sim.Run()
-	if len(got) != 2 {
-		t.Fatalf("BrowseHost returned %d files", len(got))
-	}
-	// Browsing an empty host returns an empty (but delivered) list.
-	delivered := false
-	net.BrowseHost(0, 201, func(files []SharedFile) { delivered = true; got = files })
-	net.Sim.Run()
-	if !delivered || len(got) != 0 {
-		t.Errorf("empty BrowseHost: delivered=%v files=%d", delivered, len(got))
-	}
-}
-
-func TestBrowseHostLocalSubtree(t *testing.T) {
-	topo := smallTopo(t)
-	u := topo.UltrapeerOf(200)
-	lib := libWith(t, topo, map[HostID][]string{200: {"local file.mp3"}})
-	net := NewNetwork(topo, lib, NetworkConfig{Seed: 4})
-	var got []SharedFile
-	net.BrowseHost(u, 200, func(files []SharedFile) { got = files })
-	net.Sim.Run()
-	if len(got) != 1 {
-		t.Errorf("local BrowseHost returned %d files", len(got))
-	}
-}
-
-func TestPingPong(t *testing.T) {
-	topo := smallTopo(t)
-	lib := libWith(t, topo, nil)
-	net := NewNetwork(topo, lib, NetworkConfig{Seed: 4})
-	var rtt time.Duration
-	net.PingPong(0, topo.UPAdj[0][0], func(d time.Duration) { rtt = d })
-	net.Sim.Run()
-	// Two one-way hops of 1.25-2.25s each.
-	if rtt < 2500*time.Millisecond || rtt > 4500*time.Millisecond {
-		t.Errorf("RTT = %v, want 2.5-4.5s", rtt)
 	}
 }

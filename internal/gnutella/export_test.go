@@ -13,40 +13,6 @@ import (
 // Alive reports whether an ultrapeer is currently attached.
 func (n *Network) Alive(u HostID) bool { return n.net.Attached(simnet.NodeID(u)) }
 
-// BrowseHost requests target's file list via its ultrapeer, calling cb
-// with the list when the reply arrives (or never, if the ultrapeer is
-// detached). It returns immediately; run the simulator to make progress.
-func (n *Network) BrowseHost(from HostID, target HostID, cb func([]SharedFile)) {
-	n.nextGUID++
-	seq := n.nextGUID
-	n.browseWaiters[seq] = cb
-	fromUP := n.topo.UltrapeerOf(from)
-	targetUP := n.topo.UltrapeerOf(target)
-	msg := browseMsg{Target: target, ReplyTo: fromUP, Seq: seq}
-	if fromUP == targetUP {
-		// Local: still schedule through the clock for uniform latency.
-		n.Sim.After(0, func() { n.handleBrowse(n.ups[targetUP], msg) })
-		return
-	}
-	n.net.Send(simnet.Message{
-		From: simnet.NodeID(fromUP), To: simnet.NodeID(targetUP),
-		Kind: "browse", Payload: msg, Size: 40,
-	})
-}
-
-// PingPong measures the round-trip time to a neighbouring ultrapeer using
-// the overlay's Ping/Pong descriptors, calling cb with the RTT.
-func (n *Network) PingPong(from, to HostID, cb func(rtt time.Duration)) {
-	start := n.Sim.Now()
-	n.nextGUID++
-	seq := n.nextGUID
-	n.pongWaiters[seq] = func() { cb(n.Sim.Now() - start) }
-	n.net.Send(simnet.Message{
-		From: simnet.NodeID(from), To: simnet.NodeID(to),
-		Kind: "ping", Payload: pingMsg{Seq: seq, ReplyTo: from}, Size: 23,
-	})
-}
-
 // AllDownEpoch returns a schedule that takes every host down at from and
 // brings every host back at until (when until > from and within the
 // horizon) — the harshest correlated-failure scenario, used to pin that

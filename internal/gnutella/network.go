@@ -110,11 +110,9 @@ type Network struct {
 	net  *simnet.Network
 	ups  []*upState
 
-	queries       map[uint64]*QueryOutcome
-	browseWaiters map[uint64]func([]SharedFile)
-	pongWaiters   map[uint64]func()
-	nextQID       uint64
-	nextGUID      uint64
+	queries  map[uint64]*QueryOutcome
+	nextQID  uint64
+	nextGUID uint64
 }
 
 // NewNetwork builds the event overlay for topo/lib on a fresh simulator.
@@ -122,14 +120,12 @@ func NewNetwork(topo *Topology, lib *Library, cfg NetworkConfig) *Network {
 	cfg = cfg.Normalize()
 	s := sim.New(cfg.Seed)
 	n := &Network{
-		Sim:           s,
-		cfg:           cfg,
-		topo:          topo,
-		lib:           lib,
-		net:           simnet.New(s, simnet.WithLatency(cfg.HopDelay)),
-		queries:       make(map[uint64]*QueryOutcome),
-		browseWaiters: make(map[uint64]func([]SharedFile)),
-		pongWaiters:   make(map[uint64]func()),
+		Sim:     s,
+		cfg:     cfg,
+		topo:    topo,
+		lib:     lib,
+		net:     simnet.New(s, simnet.WithLatency(cfg.HopDelay)),
+		queries: make(map[uint64]*QueryOutcome),
 	}
 	for u := 0; u < topo.NumUltrapeers(); u++ {
 		st := &upState{id: u, seenGUID: make(map[uint64]HostID)}
@@ -210,20 +206,6 @@ func (n *Network) deliver(st *upState, m simnet.Message) {
 		n.handleQuery(st, HostID(m.From), msg)
 	case hitMsg:
 		n.handleHit(st, msg)
-	case browseMsg:
-		n.handleBrowse(st, msg)
-	case browseReply:
-		n.deliverBrowseReply(msg)
-	case pingMsg:
-		n.net.Send(simnet.Message{
-			From: simnet.NodeID(st.id), To: simnet.NodeID(msg.ReplyTo),
-			Kind: "pong", Payload: pongMsg{Seq: msg.Seq}, Size: 37,
-		})
-	case pongMsg:
-		if cb := n.pongWaiters[msg.Seq]; cb != nil {
-			delete(n.pongWaiters, msg.Seq)
-			cb()
-		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // paper measures in §4: a two-tier topology of ultrapeers and leaves, TTL-
 // scoped flooding with duplicate suppression, dynamic querying (iterative
 // deepening), reverse-path query-hit routing, QRP Bloom filters from leaves
-// to ultrapeers, the BrowseHost API, and the neighbour-list crawler API the
-// paper's distributed crawl used.
+// to ultrapeers, the BrowseHost view of a host's files (Library.Files), and
+// the neighbour-list crawler API the paper's distributed crawl used.
 //
 // Two execution modes cover the paper's experiments:
 //

@@ -1,7 +1,7 @@
 package plan_test
 
-// Cancellation acceptance tests over a latency-bearing RealTime
-// transport: a canceled wide-area join must return within one RPC round
+// Cancellation acceptance tests over a dht.LocalNetwork with wall-clock
+// link latency: a canceled wide-area join must return within one RPC round
 // of the cancel and leave no goroutines behind (the paper's 30 s chain
 // timeout is far too slow a backstop for an interactive client that
 // gave up).
@@ -23,16 +23,16 @@ import (
 
 const oneWay = 60 * time.Millisecond
 
-// newRTEnv seeds a RealTime cluster at zero latency, then turns on the
-// wide-area delay for the measured phase.
+// newRTEnv seeds a cluster at zero latency, then turns on the wide-area
+// delay for the measured phase.
 func newRTEnv(t testing.TB) []*pier.Engine {
 	t.Helper()
-	rt, nodes, err := simnet.NewRealTimeCluster(12, 5, dht.Config{K: 8}, simnet.Constant(0))
+	c, err := dht.NewCluster(12, 5, dht.Config{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var engines []*pier.Engine
-	for _, node := range nodes {
+	for _, node := range c.Nodes {
 		e := pier.NewEngine(node, pier.Config{OrderBySelectivity: true})
 		piersearch.RegisterSchemas(e)
 		engines = append(engines, e)
@@ -47,7 +47,7 @@ func newRTEnv(t testing.TB) []*pier.Engine {
 			t.Fatal(err)
 		}
 	}
-	rt.SetLatency(simnet.Constant(oneWay))
+	c.Net.SetLatency(simnet.Constant(oneWay))
 	return engines
 }
 

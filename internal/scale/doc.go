@@ -1,7 +1,7 @@
 // Package scale is the virtual-time scale harness: it runs 10k–100k-node
 // PIERSearch clusters in-process in seconds of wall-clock time by
-// replacing wall-clock link latency (simnet.RealTime) with an
-// event-driven virtual clock.
+// replacing wall-clock link latency (dht.LocalNetwork.SetLatency) with
+// an event-driven virtual clock.
 //
 // The pieces:
 //

@@ -47,12 +47,10 @@ func (h *eventHeap) Pop() any {
 // Sim is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; all callbacks run on the goroutine that calls Run.
 type Sim struct {
-	now       time.Duration
-	seq       uint64
-	events    eventHeap
-	rng       *rand.Rand
-	processed uint64
-	stopped   bool
+	now    time.Duration
+	seq    uint64
+	events eventHeap
+	rng    *rand.Rand
 }
 
 // New returns a simulator whose random source is seeded with seed, so that
@@ -90,17 +88,16 @@ func (s *Sim) After(d time.Duration, fn func()) {
 // Step fires the next pending event, advancing the clock to its time.
 // It reports whether an event was fired.
 func (s *Sim) Step() bool {
-	if s.stopped || len(s.events) == 0 {
+	if len(s.events) == 0 {
 		return false
 	}
 	ev := heap.Pop(&s.events).(*event)
 	s.now = ev.at
-	s.processed++
 	ev.fn()
 	return true
 }
 
-// Run fires events until none remain or Stop is called.
+// Run fires events until none remain.
 func (s *Sim) Run() {
 	for s.Step() {
 	}
@@ -108,7 +105,7 @@ func (s *Sim) Run() {
 
 // RunUntil fires events with firing time <= t, then advances the clock to t.
 func (s *Sim) RunUntil(t time.Duration) {
-	for !s.stopped && len(s.events) > 0 && s.events[0].at <= t {
+	for len(s.events) > 0 && s.events[0].at <= t {
 		s.Step()
 	}
 	if t > s.now {

@@ -85,6 +85,9 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
 	}
+	if s.Pending() != 1 {
+		t.Errorf("Pending() = %d, want 1", s.Pending())
+	}
 	if s.Now() != 2*time.Second {
 		t.Errorf("Now() = %v, want 2s", s.Now())
 	}
@@ -94,43 +97,12 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	fired := 0
-	for i := 1; i <= 5; i++ {
-		s.At(time.Duration(i)*time.Second, func() {
-			fired++
-			if fired == 2 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2 (stopped)", fired)
-	}
-	if s.Pending() != 3 {
-		t.Errorf("Pending() = %d, want 3", s.Pending())
-	}
-}
-
 func TestDeterministicRand(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 100; i++ {
 		if a.Rand().Int63() != b.Rand().Int63() {
 			t.Fatal("same seed produced different random streams")
 		}
-	}
-}
-
-func TestProcessedCount(t *testing.T) {
-	s := New(1)
-	for i := 0; i < 7; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {})
-	}
-	s.Run()
-	if s.Processed() != 7 {
-		t.Errorf("Processed() = %d, want 7", s.Processed())
 	}
 }
 

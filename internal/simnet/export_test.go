@@ -17,9 +17,6 @@ func (s Stats) Sub(prev Stats) Stats {
 	return out
 }
 
-// WithLoss sets the independent per-message loss probability in [0, 1].
-func WithLoss(p float64) Option { return func(n *Network) { n.loss = p } }
-
 // Stats returns a copy of the traffic counters.
 func (n *Network) Stats() Stats {
 	out := n.stats

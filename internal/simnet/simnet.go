@@ -1,19 +1,19 @@
 // Package simnet provides a simulated message network on top of the
-// discrete-event simulator. It models per-message latency, message loss and
-// node failure, and keeps byte/message accounting so experiments can report
+// discrete-event simulator. It models per-message latency and node
+// failure, and keeps byte/message accounting so experiments can report
 // bandwidth overheads the way the paper does.
 //
 // Network is single-threaded: all delivery happens inside sim callbacks.
-// RealTime is the opposite trade — a concurrency-safe dht.Transport that
-// imposes sampled latency in wall-clock time, used to measure how much the
-// concurrent query/publish pipeline overlaps. Use package wire for the
-// real TCP transport used by the deployment mode.
+// The latency models also drive the wall-clock links of dht.LocalNetwork
+// (SetLatency) and the virtual-time links of scale.Net. Use package wire
+// for the real TCP transport used by the deployment mode.
 package simnet
 
 import (
 	"math/rand"
 	"time"
 
+	"piersearch/internal/dht"
 	"piersearch/internal/sim"
 )
 
@@ -35,13 +35,11 @@ type Message struct {
 type Handler func(m Message)
 
 // LatencyModel produces a one-way delay for each message.
-type LatencyModel interface {
-	Delay(rng *rand.Rand) time.Duration
-}
+type LatencyModel = dht.LatencyModel
 
 // Constant is a LatencyModel with a fixed one-way delay.
 //
-//lint:allow unusedexport the fixed latency of real-time clusters in other packages' tests
+//lint:allow unusedexport the fixed link latency of other packages' wall-clock cluster tests
 type Constant time.Duration
 
 // Delay implements LatencyModel.
@@ -84,7 +82,7 @@ func DefaultWideArea() WideArea {
 type Stats struct {
 	Messages uint64
 	Bytes    uint64
-	Dropped  uint64 // lost to loss probability or detached destination
+	Dropped  uint64 // sent to a detached destination
 	ByKind   map[string]KindStats
 }
 
@@ -99,7 +97,6 @@ type KindStats struct {
 type Network struct {
 	sim      *sim.Sim
 	latency  LatencyModel
-	loss     float64
 	handlers map[NodeID]Handler
 	stats    Stats
 }
@@ -152,10 +149,6 @@ func (n *Network) Send(m Message) {
 	ks.Bytes += uint64(m.Size)
 	n.stats.ByKind[m.Kind] = ks
 
-	if n.loss > 0 && n.sim.Rand().Float64() < n.loss {
-		n.stats.Dropped++
-		return
-	}
 	delay := n.latency.Delay(n.sim.Rand())
 	n.sim.After(delay, func() {
 		h, ok := n.handlers[m.To]

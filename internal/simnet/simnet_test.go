@@ -82,22 +82,6 @@ func TestDetachedDestinationDrops(t *testing.T) {
 	}
 }
 
-func TestLossDropsApproximateProbability(t *testing.T) {
-	s := sim.New(7)
-	n := New(s, WithLatency(Constant(0)), WithLoss(0.3))
-	delivered := 0
-	n.Attach(1, func(Message) { delivered++ })
-	const total = 10000
-	for i := 0; i < total; i++ {
-		n.Send(Message{To: 1, Size: 1})
-	}
-	s.Run()
-	got := float64(total-delivered) / total
-	if got < 0.25 || got > 0.35 {
-		t.Errorf("observed loss = %.3f, want ~0.30", got)
-	}
-}
-
 func TestAttachedAndDetach(t *testing.T) {
 	s := sim.New(1)
 	n := New(s)

@@ -68,17 +68,20 @@ func TestDiskBackedClusterRunsPierPipeline(t *testing.T) {
 }
 
 func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
-	// Churn + restart over simnet.RealTime: crash every node holding a
-	// posting list for the query's keywords, restart ONE of them from its
-	// on-disk state, and the chain join must still find the file — served
-	// purely from recovered replicas, with no republish in between.
+	// Churn + restart over wall-clock link latency: crash every node
+	// holding a posting list for the query's keywords, restart ONE of them
+	// from its on-disk state, and the chain join must still find the file
+	// — served purely from recovered replicas, with no republish in
+	// between.
 	baseDir := t.TempDir()
 	factory := DiskFactory(baseDir, Options{})
 	cfg := dht.Config{NewStorage: factory}
-	rt, nodes, err := simnet.NewRealTimeCluster(14, 11, cfg, simnet.Constant(200*time.Microsecond))
+	c, err := dht.NewCluster(14, 11, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.SetLatency(simnet.Constant(200 * time.Microsecond))
+	nodes := c.Nodes
 	engines := diskEngines(t, nodes)
 	defer func() {
 		for _, n := range nodes {
@@ -110,7 +113,7 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 
 	// Crash every holder (unclean: no flush, no seal).
 	for i := range holder {
-		rt.Remove(nodes[i].Info().Addr)
+		c.Net.Remove(nodes[i].Info().Addr)
 		nodes[i].Storage().(*Disk).Crash()
 	}
 	var alive *dht.Node
@@ -137,8 +140,8 @@ func TestReplicaRestartAnswersChainJoinWithoutRepublish(t *testing.T) {
 	// fresh nodes and engines. The factory reopens each recovered store.
 	recovered := 0
 	for i := range holder {
-		reborn := dht.NewNode(nodes[i].Info(), rt, cfg) // same factory → same dir
-		rt.Join(reborn)
+		reborn := dht.NewNode(nodes[i].Info(), c.Net, cfg) // same factory → same dir
+		c.Net.Join(reborn)
 		rebornEngine := pier.NewEngine(reborn, pier.Config{OrderBySelectivity: true})
 		piersearch.RegisterSchemas(rebornEngine)
 		if err := reborn.JoinNetwork([]dht.NodeInfo{alive.Info()}); err != nil {
