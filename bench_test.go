@@ -14,6 +14,8 @@ package bench
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -355,6 +357,14 @@ func BenchmarkAblationTFBloom(b *testing.B) {
 
 // --- ablations ----------------------------------------------------------------
 
+// The join-order lists: joinWide and joinNarrow hold 3 000 and 1 500
+// postings and share one file. Neither list saturates the other's
+// pre-join filter, so the list the chain starts from sets what it ships.
+const (
+	joinWide, joinNarrow       = "joinwide", "joinnarrow"
+	joinWideLen, joinNarrowLen = 3000, 1500
+)
+
 // ablationEnv builds a small PIER cluster with a skewed posting-list
 // workload for the join ablations.
 func ablationEnv(b *testing.B, order bool) []*pier.Engine {
@@ -378,30 +388,59 @@ func ablationEnv(b *testing.B, order bool) []*pier.Engine {
 		pub(i, "common artist track"+itoa(i)+".mp3")
 	}
 	pub(0, "common artist rareterm.mp3")
+
+	// The join-order lists go straight onto their replica sets, as the
+	// scale harness places its corpus, so setup sends no message.
+	replicate := cluster.Nodes[0].Config().Replicate
+	place := func(kw, file string) {
+		key, fileID := pier.String(kw), dht.StringID(file)
+		id := dht.NamespacedID(piersearch.TableInverted, key.Key())
+		data := pier.Tuple{key, pier.Bytes(fileID[:])}.Encode(nil)
+		owners := slices.Clone(cluster.Nodes)
+		sort.Slice(owners, func(i, j int) bool { return dht.Closer(owners[i].Info().ID, owners[j].Info().ID, id) })
+		for _, n := range owners[:replicate] {
+			n.LocalPut(id, data)
+		}
+	}
+	for i := 0; i < joinWideLen; i++ {
+		place(joinWide, "wide"+itoa(i))
+	}
+	for i := 0; i < joinNarrowLen; i++ {
+		place(joinNarrow, "narrow"+itoa(i))
+	}
+	place(joinNarrow, "wide0")
 	return engines
 }
 
 // BenchmarkAblationJoinOrder compares posting entries shipped with and
-// without smallest-posting-list-first ordering.
+// without smallest-posting-list-first ordering, joining the wide list
+// with the narrow one (the naive chain starts from the wide list). It
+// fails when both orders ship the same count: then it measures nothing.
 func BenchmarkAblationJoinOrder(b *testing.B) {
+	shipped := map[string]int{}
 	for _, mode := range []struct {
 		name  string
 		order bool
 	}{{"naive", false}, {"smallest-first", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			engines := ablationEnv(b, mode.order)
-			shipped := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, stats, err := engines[i%24].ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted,
-					[]pier.Value{pier.String("common"), pier.String("rareterm")}, "fileID", 0)
+				vals, stats, err := engines[i%24].ChainJoinConcurrentContext(context.Background(), piersearch.TableInverted,
+					[]pier.Value{pier.String(joinWide), pier.String(joinNarrow)}, "fileID", 0)
 				if err != nil {
 					b.Fatal(err)
 				}
-				shipped = stats.PostingShipped
+				if len(vals) != 1 {
+					b.Fatalf("join matched %d files, want 1", len(vals))
+				}
+				shipped[mode.name] = stats.PostingShipped
 			}
-			b.ReportMetric(float64(shipped), "entries-shipped")
+			b.ReportMetric(float64(shipped[mode.name]), "entries-shipped")
 		})
+	}
+	if len(shipped) == 2 && shipped["naive"] == shipped["smallest-first"] {
+		b.Fatalf("both orders shipped %d entries: the ablation no longer measures ordering", shipped["naive"])
 	}
 }
 

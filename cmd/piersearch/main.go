@@ -52,11 +52,14 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -296,6 +299,7 @@ func runDaemon(ctx context.Context, dc daemonConfig) int {
 	}
 
 	cfg := dht.Config{Logger: logger.With("sub", "dht"), Tracer: tracer, Metrics: reg}
+	id := dht.RandomID()
 	switch dc.storeKind {
 	case "mem":
 	case "disk":
@@ -309,6 +313,12 @@ func runDaemon(ctx context.Context, dc daemonConfig) int {
 			logger.Error("open disk store failed", "dir", dc.dataDir, "err", err)
 			return 1
 		}
+		if id, err = loadNodeID(dc.dataDir); err != nil {
+			logger.Error("node id unusable", "dir", dc.dataDir, "err", err)
+			d.Close()  //nolint:errcheck // exiting
+			ln.Close() //nolint:errcheck // exiting
+			return 1
+		}
 		if rec := d.Recovery(); rec.Values > 0 {
 			logger.Info("recovered store", "values", rec.Values, "dir", dc.dataDir)
 		}
@@ -318,7 +328,7 @@ func runDaemon(ctx context.Context, dc daemonConfig) int {
 		return 1
 	}
 	transport := wire.NewTCPTransport()
-	node := dht.NewNode(dht.NodeInfo{ID: dht.RandomID(), Addr: ln.Addr().String()}, transport, cfg)
+	node := dht.NewNode(dht.NodeInfo{ID: id, Addr: ln.Addr().String()}, transport, cfg)
 	srv := wire.NewServer(node, ln)
 	go srv.Serve()                                //nolint:errcheck // closed below
 	stopJanitor := node.StartJanitor(time.Minute) // reclaim TTL'd postings while serving
@@ -478,4 +488,46 @@ func runDaemon(ctx context.Context, dc daemonConfig) int {
 		logger.Info("shutting down")
 	}
 	return 0
+}
+
+// nodeIDFile, in the disk store's directory, keeps the daemon's node ID.
+const nodeIDFile = "node-id"
+
+// loadNodeID returns the node ID kept in dir, minting and saving one on
+// the first start, so a restarted daemon comes back under the ID lookups
+// for its recovered keys walk to. The caller holds dir's store lock. A new ID is written
+// to a temp file and renamed into place, so a crash leaves no ID file or
+// a whole one (store.Open removes a stray *.tmp). A malformed file is an
+// error and is never overwritten.
+func loadNodeID(dir string) (dht.ID, error) {
+	var id dht.ID
+	path := filepath.Join(dir, nodeIDFile)
+	b, err := os.ReadFile(path)
+	if err == nil {
+		raw, err := hex.DecodeString(strings.TrimSpace(string(b)))
+		if err != nil || len(raw) != dht.IDBytes {
+			return id, fmt.Errorf("%s: want %d hex-encoded bytes, have %q", path, dht.IDBytes, b)
+		}
+		copy(id[:], raw)
+		return id, nil
+	}
+	if !errors.Is(err, fs.ErrNotExist) {
+		return id, err
+	}
+	id = dht.RandomID()
+	f, err := os.Create(path + ".tmp")
+	if err != nil {
+		return id, err
+	}
+	_, err = f.WriteString(id.String() + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(path+".tmp", path)
+	}
+	return id, err
 }

@@ -84,14 +84,14 @@ func rtCorpus() []piersearch.File {
 	return files
 }
 
-func (env *rtEnv) search(i, workers int) *piersearch.Search {
-	return piersearch.NewSearch(env.engines[i], piersearch.Tokenizer{}).WithWorkers(workers)
+func (env *rtEnv) search(i int) *piersearch.Search {
+	return piersearch.NewSearch(env.engines[i], piersearch.Tokenizer{})
 }
 
 // queryOnce runs one query and returns its stats.
-func (env *rtEnv) queryOnce(tb testing.TB, workers int, query string) piersearch.SearchStats {
+func (env *rtEnv) queryOnce(tb testing.TB, query string) piersearch.SearchStats {
 	tb.Helper()
-	results, stats, err := env.search(3, workers).Query(query, piersearch.StrategyJoin, 0)
+	results, stats, err := env.search(3).Query(query, piersearch.StrategyJoin, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -119,12 +119,12 @@ func TestConcurrentJoinSpeedup(t *testing.T) {
 	concEnv := newRTEnv(t, 16, oneWay)
 
 	// Best of two runs per variant to damp scheduler noise.
-	seq := seqEnv.queryOnce(t, 1, query)
-	if s := seqEnv.queryOnce(t, 1, query); s.Wall < seq.Wall {
+	seq := seqEnv.queryOnce(t, query)
+	if s := seqEnv.queryOnce(t, query); s.Wall < seq.Wall {
 		seq = s
 	}
-	conc := concEnv.queryOnce(t, 16, query)
-	if s := concEnv.queryOnce(t, 16, query); s.Wall < conc.Wall {
+	conc := concEnv.queryOnce(t, query)
+	if s := concEnv.queryOnce(t, query); s.Wall < conc.Wall {
 		conc = s
 	}
 
@@ -157,13 +157,11 @@ func TestConcurrentPublishSpeedup(t *testing.T) {
 	concEnv := newRTEnv(t, 16, oneWay)
 
 	f := piersearch.File{Name: "epsilon zeta eta theta iota.mp3", Size: 42, Host: "10.9.9.9", Port: 6346}
-	seqStats, err := piersearch.NewPublisher(seqEnv.engines[2], piersearch.ModeBoth, piersearch.Tokenizer{}).
-		WithWorkers(1).PublishFile(f)
+	seqStats, err := piersearch.NewPublisher(seqEnv.engines[2], piersearch.ModeBoth, piersearch.Tokenizer{}).PublishFile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	concStats, err := piersearch.NewPublisher(concEnv.engines[2], piersearch.ModeBoth, piersearch.Tokenizer{}).
-		WithWorkers(16).PublishFile(f)
+	concStats, err := piersearch.NewPublisher(concEnv.engines[2], piersearch.ModeBoth, piersearch.Tokenizer{}).PublishFile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +191,7 @@ func BenchmarkConcurrentPublish(b *testing.B) {
 	}{{"sequential", 1}, {"workers-16", 16}} {
 		b.Run(mode.name, func(b *testing.B) {
 			env := newRTEnv(b, mode.workers, oneWay)
-			pub := piersearch.NewPublisher(env.engines[1], piersearch.ModeBoth, piersearch.Tokenizer{}).
-				WithWorkers(mode.workers)
+			pub := piersearch.NewPublisher(env.engines[1], piersearch.ModeBoth, piersearch.Tokenizer{})
 			var stats piersearch.PublishStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -234,7 +231,7 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/keywords-%d", mode.name, kw), func(b *testing.B) {
 				var stats piersearch.SearchStats
 				for i := 0; i < b.N; i++ {
-					stats = env.queryOnce(b, mode.workers, queries[kw])
+					stats = env.queryOnce(b, queries[kw])
 				}
 				b.ReportMetric(float64(stats.Wall.Milliseconds()), "wall-ms")
 				b.ReportMetric(float64(stats.MatchBytes), "match-bytes")

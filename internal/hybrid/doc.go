@@ -7,8 +7,8 @@
 // so it inherits that package's concurrency: rare-item publishing fans
 // out through pier.(*Engine).PublishBatch and the PIER re-query overlaps
 // its probes and fetches. The fan-out bound is the underlying engine's
-// pier.Config.Workers (default 8); construct engines with Workers: 1 to
-// reproduce the paper's sequential behaviour. Note the discrete-event
+// pier.Config.Workers (default 8), the only one; build engines with
+// Workers: 1 for the paper's sequential behaviour. Note the discrete-event
 // Gnutella simulation itself stays single-threaded — concurrency applies
 // to the DHT side, which runs outside simulated time.
 package hybrid

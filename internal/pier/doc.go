@@ -34,7 +34,8 @@
 // Knobs live on Config:
 //
 //   - Workers bounds in-flight DHT operations per engine call, the chain
-//     join's probes included (default 8; 1 runs them one at a time).
+//     join's probes and the plan's Item fetches included (default 8; 1
+//     runs them one at a time). Nothing above the engine overrides it.
 //   - OrderBySelectivity runs the chain smallest posting list first, by
 //     the probed counts (§5); off, it runs in the keys' given order.
 //

@@ -228,16 +228,16 @@ func (e *Engine) fetchMiss(ctx context.Context, t *hotcache.Tier, table string, 
 
 // FetchCachedBatchContext resolves keys[i] to fetched[i], in input order.
 // Every key the tier already holds is answered on the caller's goroutine;
-// only the misses go to the bounded pool (workers <= 0 means the engine
-// default), each exactly as FetchCachedContext would resolve it. A batch
-// of cached keys therefore starts no goroutine and sends no message.
+// only the misses go to the pool of Config.Workers, each exactly as
+// FetchCachedContext would resolve it. A batch of cached keys therefore
+// starts no goroutine and sends no message.
 //
 // The fetch phase it serves is best-effort: a key whose lookup fails
 // yields no tuples and the batch goes on; callers that must tell a
 // canceled batch from an empty one check ctx. The returned stats sum the
 // per-key costs; MaxInFlight is the pool's high-water mark (the inline
 // probe counts as one operation in flight).
-func (e *Engine) FetchCachedBatchContext(ctx context.Context, table string, keys []Value, workers int) ([][]Tuple, OpStats) {
+func (e *Engine) FetchCachedBatchContext(ctx context.Context, table string, keys []Value) ([][]Tuple, OpStats) {
 	var stats OpStats
 	fetched := make([][]Tuple, len(keys))
 	t := e.hot.Load()
@@ -256,14 +256,11 @@ func (e *Engine) FetchCachedBatchContext(ctx context.Context, table string, keys
 	if len(misses) == 0 {
 		return fetched, stats
 	}
-	if workers <= 0 {
-		workers = e.cfg.Workers
-	}
 	// Writes are per-index; the pool's WaitGroup orders them before the
 	// merge below.
 	costs := make([]OpStats, len(misses))
 	var g gauge
-	forEachCtx(ctx, len(misses), workers, &g, func(j int) {
+	forEachCtx(ctx, len(misses), e.cfg.Workers, &g, func(j int) {
 		i := misses[j]
 		fetched[i], costs[j], _ = e.fetchMiss(ctx, t, table, keys[i]) //nolint:errcheck // best-effort, see the doc comment
 	})

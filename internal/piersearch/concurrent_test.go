@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"piersearch/internal/dht"
 )
 
 // TestQueryConcurrentMatchesSequential checks that the query pipeline
 // returns the same results with its fetches fanned out as with one at a
 // time, for both strategies and several keyword counts.
 func TestQueryConcurrentMatchesSequential(t *testing.T) {
-	e := newEnv(t, 12)
+	e := newEnvWith(t, 12, dht.Config{}, map[int]int{2: 1, 3: 8})
 	publishAll(t, e)
-	seq := e.search(2).WithWorkers(1)
-	conc := e.search(3).WithWorkers(8)
+	seq := e.search(2)
+	conc := e.search(3)
 
 	for _, strategy := range []Strategy{StrategyJoin, StrategyCache} {
 		for _, query := range []string{
@@ -47,13 +49,13 @@ func TestQueryConcurrentMatchesSequential(t *testing.T) {
 // TestConcurrentJoinShipsNoMorePostings verifies the fetch fan-out never
 // increases the posting traffic of the matching phase.
 func TestConcurrentJoinShipsNoMorePostings(t *testing.T) {
-	e := newEnv(t, 12)
+	e := newEnvWith(t, 12, dht.Config{}, map[int]int{1: 1, 2: 8})
 	publishAll(t, e)
-	_, seqStats, err := e.search(1).WithWorkers(1).Query("madonna like prayer", StrategyJoin, 0)
+	_, seqStats, err := e.search(1).Query("madonna like prayer", StrategyJoin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, concStats, err := e.search(1).WithWorkers(8).Query("madonna like prayer", StrategyJoin, 0)
+	_, concStats, err := e.search(2).Query("madonna like prayer", StrategyJoin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

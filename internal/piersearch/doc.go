@@ -18,13 +18,11 @@
 //     concurrent chain join (parallel probes + Bloom pre-join); under
 //     both strategies the final Item fetches fan out in parallel.
 //
-// The fan-out bound defaults to the engine's pier.Config.Workers
-// (default 8) and can be overridden per Publisher/Search with
-// WithWorkers. WithWorkers bounds only this package's fan-out (batch
-// puts, Item fetches); the chain join is the same under any bound, and
-// its probes use the engine's own worker bound. To reproduce the fully
-// sequential paper pipeline, as the root package's benchmarks do, also
-// build the engine with pier.Config{Workers: 1}.
+// The fan-out bound is the engine's pier.Config.Workers (default 8), for
+// batch puts, chain-join probes and Item fetches alike; nothing above the
+// engine overrides it. To reproduce the fully sequential paper pipeline,
+// as the root package's benchmarks do, build the engine with
+// pier.Config{Workers: 1}.
 //
 // PublishStats and SearchStats expose Wall (end-to-end wall-clock time)
 // and MaxInFlight (the concurrency high-water mark) so the overlap is

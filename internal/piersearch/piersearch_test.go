@@ -17,7 +17,7 @@ type env struct {
 
 func newEnv(t testing.TB, n int) *env {
 	t.Helper()
-	return newEnvWith(t, n, dht.Config{})
+	return newEnvWith(t, n, dht.Config{}, nil)
 }
 
 // newSequentialEnv is newEnv with one lookup probe in flight at a time
@@ -28,10 +28,12 @@ func newEnv(t testing.TB, n int) *env {
 // timing, and a fetch's bytes vary by up to 2× run to run.
 func newSequentialEnv(t testing.TB, n int) *env {
 	t.Helper()
-	return newEnvWith(t, n, dht.Config{Alpha: 1})
+	return newEnvWith(t, n, dht.Config{Alpha: 1}, nil)
 }
 
-func newEnvWith(t testing.TB, n int, cfg dht.Config) *env {
+// newEnvWith builds an n-node env over cfg. workers[i] is node i's
+// pier.Config.Workers; a node missing from it runs the engine default.
+func newEnvWith(t testing.TB, n int, cfg dht.Config, workers map[int]int) *env {
 	t.Helper()
 	// PIERSEARCH_STORE=disk runs the suite over the log-structured disk
 	// engine, one store directory per node.
@@ -44,8 +46,8 @@ func newEnvWith(t testing.TB, n int, cfg dht.Config) *env {
 	}
 	t.Cleanup(func() { cluster.Close() }) //nolint:errcheck // test teardown
 	e := &env{cluster: cluster}
-	for _, node := range cluster.Nodes {
-		eng := pier.NewEngine(node, pier.Config{OrderBySelectivity: true})
+	for i, node := range cluster.Nodes {
+		eng := pier.NewEngine(node, pier.Config{OrderBySelectivity: true, Workers: workers[i]})
 		RegisterSchemas(eng)
 		e.engines = append(e.engines, eng)
 	}
@@ -136,6 +138,9 @@ func TestSearchBothStrategiesFindAllReplicas(t *testing.T) {
 		}
 		if stats.Keywords != 2 {
 			t.Errorf("%v: keywords = %d", strat, stats.Keywords)
+		}
+		if results, _, err := e.search(3).Query("madonna", strat, 0); err != nil || len(results) != 3 {
+			t.Errorf("%v: madonna results = %v, %v; want 3", strat, names(results), err)
 		}
 	}
 }
@@ -260,24 +265,6 @@ func TestPublishUnindexableFile(t *testing.T) {
 	e := newEnv(t, 8)
 	if _, err := e.publisher(0).PublishFile(File{Name: "...", Size: 1, Host: "h", Port: 1}); err == nil {
 		t.Error("unindexable file accepted")
-	}
-}
-
-func TestPublishAllAccumulates(t *testing.T) {
-	e := newEnv(t, 16)
-	stats, err := e.publisher(0).PublishAll(testFiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Tuples == 0 || stats.Bytes == 0 {
-		t.Errorf("PublishAll stats = %+v", stats)
-	}
-	results, _, err := e.search(3).Query("madonna", StrategyJoin, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Errorf("after PublishAll, madonna results = %d, want 3", len(results))
 	}
 }
 

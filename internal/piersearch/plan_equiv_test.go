@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 	"piersearch/internal/trace"
 )
@@ -208,7 +209,7 @@ func TestPlanMatchesLegacyWithLimit(t *testing.T) {
 // consumer that stops after two results must not pay for the remaining
 // item fetches a full drain performs.
 func TestStreamEarlyTermination(t *testing.T) {
-	e := newEnv(t, 24)
+	e := newEnvWith(t, 24, dht.Config{}, map[int]int{6: 2})
 	for i := 0; i < 16; i++ {
 		f := File{Name: fmt.Sprintf("common term song%02d.mp3", i), Size: 1000,
 			Host: fmt.Sprintf("10.7.0.%d", i), Port: 6346}
@@ -219,7 +220,7 @@ func TestStreamEarlyTermination(t *testing.T) {
 	run := func(stopAfter int) int {
 		t.Helper()
 		rs, err := e.search(6).QueryContext(context.Background(),
-			Query{Text: "common term", Strategy: StrategyJoin, Workers: 2})
+			Query{Text: "common term", Strategy: StrategyJoin})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 )
 
@@ -37,39 +36,24 @@ type PublishStats struct {
 	MaxInFlight int
 }
 
-func (s *PublishStats) addLookup(l dht.LookupStats) {
-	s.Messages += l.Messages
-	s.Bytes += l.Bytes
-}
-
 // Publisher turns shared files into PIERSearch tuples and publishes them
 // into the DHT via a PIER engine (§3.1).
 type Publisher struct {
 	engine    *pier.Engine
 	tokenizer Tokenizer
 	mode      PublishMode
-	workers   int
 }
 
 // NewPublisher creates a publisher. The engine must have the PIERSearch
-// schemas registered (RegisterSchemas). The publish fan-out defaults to
-// the engine's configured worker bound; use WithWorkers to override.
+// schemas registered (RegisterSchemas). The publish fan-out is the
+// engine's pier.Config.Workers.
 func NewPublisher(engine *pier.Engine, mode PublishMode, tk Tokenizer) *Publisher {
 	return &Publisher{engine: engine, tokenizer: tk, mode: mode}
 }
 
-// WithWorkers bounds the number of concurrent DHT puts one PublishFile
-// call keeps in flight (1 = sequential, 0 = engine default) and returns p
-// for chaining.
-func (p *Publisher) WithWorkers(n int) *Publisher {
-	p.workers = n
-	return p
-}
-
-// WithMode returns a copy of p that publishes under mode. Unlike
-// WithWorkers it does not mutate p: the query-service daemon derives a
-// per-request publisher from one shared template, and requests must not
-// race each other's mode.
+// WithMode returns a copy of p that publishes under mode. It does not
+// mutate p: the query-service daemon derives a per-request publisher from
+// one shared template, and requests must not race each other's mode.
 func (p *Publisher) WithMode(mode PublishMode) *Publisher {
 	q := *p
 	q.mode = mode
@@ -113,8 +97,8 @@ func (p *Publisher) PublishFile(f File) (PublishStats, error) {
 	}
 	stats.Keywords = len(keywords)
 
-	res, err := p.engine.PublishBatchContext(p.engine.Node().Context(), IndexTuples(f, keywords, p.mode), p.workers)
-	stats.addLookup(res.Stats)
+	res, err := p.engine.PublishBatchContext(p.engine.Node().Context(), IndexTuples(f, keywords, p.mode), 0)
+	stats.Messages, stats.Bytes = res.Stats.Messages, res.Stats.Bytes
 	stats.Tuples = res.Published
 	stats.MaxInFlight = res.MaxInFlight
 	stats.Wall = time.Since(start)

@@ -74,29 +74,13 @@ type SearchStats struct {
 type Search struct {
 	engine    *pier.Engine
 	tokenizer Tokenizer
-	workers   int
 }
 
 // NewSearch creates a search engine. The PIER engine must have the
-// PIERSearch schemas registered. The query fan-out defaults to the
-// engine's configured worker bound; use WithWorkers to override.
+// PIERSearch schemas registered. The query fan-out is the engine's
+// pier.Config.Workers.
 func NewSearch(engine *pier.Engine, tk Tokenizer) *Search {
 	return &Search{engine: engine, tokenizer: tk}
-}
-
-// WithWorkers bounds the number of concurrent DHT operations one Query
-// call keeps in flight (1 = sequential, 0 = engine default) and returns s
-// for chaining.
-func (s *Search) WithWorkers(n int) *Search {
-	s.workers = n
-	return s
-}
-
-func (s *Search) effectiveWorkers() int {
-	if s.workers > 0 {
-		return s.workers
-	}
-	return s.engine.Workers()
 }
 
 // Query answers query with the given strategy, returning up to limit

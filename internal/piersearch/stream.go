@@ -33,9 +33,6 @@ type Query struct {
 	// fetched, and the stream terminates early once Limit results have
 	// been produced.
 	Limit int
-	// Workers bounds concurrent DHT operations per plan stage (0 = the
-	// search default, 1 = fully sequential execution).
-	Workers int
 }
 
 // Catalog returns the plan catalog binding the PIERSearch relations, for
@@ -74,16 +71,11 @@ func (s *Search) compile(q Query) (*plan.CompiledPlan, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrInvalidQuery, err)
 	}
-	workers := q.Workers
-	if workers <= 0 {
-		workers = s.effectiveWorkers()
-	}
 	planner := plan.Planner{Engine: s.engine, Catalog: Catalog()}
 	compiled, err := planner.Plan(plan.Query{
 		Terms:    keywords,
 		Strategy: strat,
 		Limit:    q.Limit,
-		Options:  plan.Options{Workers: workers},
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrInvalidQuery, err)

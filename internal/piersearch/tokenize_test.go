@@ -60,42 +60,6 @@ func TestTokenizeCustomStopwordsAndMinLength(t *testing.T) {
 	}
 }
 
-func TestAdjacentPairs(t *testing.T) {
-	tk := Tokenizer{}
-	got := tk.AdjacentPairs("alpha beta gamma")
-	want := [][2]string{{"alpha", "beta"}, {"beta", "gamma"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AdjacentPairs = %v, want %v", got, want)
-	}
-}
-
-func TestAdjacentPairsSkipStopwords(t *testing.T) {
-	// Stopwords are removed before pairing, so surviving neighbours pair.
-	tk := Tokenizer{}
-	got := tk.AdjacentPairs("alpha the beta")
-	want := [][2]string{{"alpha", "beta"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AdjacentPairs = %v, want %v", got, want)
-	}
-}
-
-func TestAdjacentPairsDeduplicated(t *testing.T) {
-	tk := Tokenizer{}
-	got := tk.AdjacentPairs("ab cd ab cd")
-	// pairs: (ab,cd) (cd,ab) (ab,cd dup)
-	want := [][2]string{{"ab", "cd"}, {"cd", "ab"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("AdjacentPairs = %v, want %v", got, want)
-	}
-}
-
-func TestAdjacentPairsSingleTerm(t *testing.T) {
-	tk := Tokenizer{}
-	if got := tk.AdjacentPairs("alpha"); got != nil {
-		t.Errorf("AdjacentPairs(single) = %v", got)
-	}
-}
-
 func TestSplitAlnum(t *testing.T) {
 	got := splitAlnum("ab-cd_ef 12.gh")
 	want := []string{"ab", "cd", "ef", "12", "gh"}

@@ -23,9 +23,9 @@ import (
 
 const oneWay = 60 * time.Millisecond
 
-// newRTEnv seeds a cluster at zero latency, then turns on the wide-area
-// delay for the measured phase.
-func newRTEnv(t testing.TB) []*pier.Engine {
+// newRTEnv seeds a cluster of engines with the given Workers at zero
+// latency, then turns on the wide-area delay for the measured phase.
+func newRTEnv(t testing.TB, workers int) []*pier.Engine {
 	t.Helper()
 	c, err := dht.NewCluster(12, 5, dht.Config{K: 8})
 	if err != nil {
@@ -33,7 +33,7 @@ func newRTEnv(t testing.TB) []*pier.Engine {
 	}
 	var engines []*pier.Engine
 	for _, node := range c.Nodes {
-		e := pier.NewEngine(node, pier.Config{OrderBySelectivity: true})
+		e := pier.NewEngine(node, pier.Config{OrderBySelectivity: true, Workers: workers})
 		piersearch.RegisterSchemas(e)
 		engines = append(engines, e)
 	}
@@ -65,7 +65,7 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 func TestChainJoinCancelPromptNoLeak(t *testing.T) {
-	engines := newRTEnv(t)
+	engines := newRTEnv(t, 0)
 	base := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,12 +103,12 @@ func TestChainJoinCancelPromptNoLeak(t *testing.T) {
 }
 
 func TestQueryContextCancelMidStream(t *testing.T) {
-	engines := newRTEnv(t)
+	engines := newRTEnv(t, 1)
 	base := runtime.NumGoroutine()
 
 	search := piersearch.NewSearch(engines[3], piersearch.Tokenizer{})
 	ctx, cancel := context.WithCancel(context.Background())
-	rs, err := search.QueryContext(ctx, piersearch.Query{Text: "omega sigma", Strategy: piersearch.StrategyJoin, Workers: 1})
+	rs, err := search.QueryContext(ctx, piersearch.Query{Text: "omega sigma", Strategy: piersearch.StrategyJoin})
 	if err != nil {
 		cancel()
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 }
 
 func TestDeadlineExpiresJoin(t *testing.T) {
-	engines := newRTEnv(t)
+	engines := newRTEnv(t, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), oneWay/2)
 	defer cancel()
 	_, _, err := engines[1].ChainJoinConcurrentContext(ctx, piersearch.TableInverted,

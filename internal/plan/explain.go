@@ -124,7 +124,7 @@ func (o *CacheSelect) Describe() string {
 
 // Describe implements Describer.
 func (o *DHTFetch) Describe() string {
-	return fmt.Sprintf("DHTFetch(%s, keyCol=%d, workers=%d)", o.Table, o.KeyCol, o.Workers)
+	return fmt.Sprintf("DHTFetch(%s, keyCol=%d, workers=%d)", o.Table, o.KeyCol, o.Engine.Workers())
 }
 
 // Describe implements Describer.

@@ -14,8 +14,8 @@ import (
 	"piersearch/internal/plan"
 )
 
-// fetchEnv is a small LocalNetwork cluster holding nfiles Items, with a hot
-// tier on engine 0 whose clock reports to the test. Lookup probes are
+// fetchEnv is a small LocalNetwork cluster holding nfiles Items, its
+// engines built with the given Workers, with a hot tier on engine 0 whose clock reports to the test. Lookup probes are
 // sequential (Alpha 1) and every node knows every node, so a fetch's
 // message count does not depend on goroutine timing.
 type fetchEnv struct {
@@ -28,7 +28,7 @@ type fetchEnv struct {
 	onClock func()
 }
 
-func newFetchEnv(t *testing.T, nfiles int) *fetchEnv {
+func newFetchEnv(t *testing.T, nfiles, workers int) *fetchEnv {
 	t.Helper()
 	cluster, err := dht.NewCluster(8, 7, dht.Config{Alpha: 1})
 	if err != nil {
@@ -38,7 +38,7 @@ func newFetchEnv(t *testing.T, nfiles int) *fetchEnv {
 	env := &fetchEnv{}
 	var engines []*pier.Engine
 	for _, node := range cluster.Nodes {
-		e := pier.NewEngine(node, pier.Config{})
+		e := pier.NewEngine(node, pier.Config{Workers: workers})
 		piersearch.RegisterSchemas(e)
 		engines = append(engines, e)
 	}
@@ -66,13 +66,13 @@ func newFetchEnv(t *testing.T, nfiles int) *fetchEnv {
 
 // fetchAll runs one DHTFetch over keys and returns the emitted tuples and
 // the operator's own stats.
-func (env *fetchEnv) fetchAll(t *testing.T, keys []pier.Value, workers int) ([]pier.Tuple, plan.OpStats) {
+func (env *fetchEnv) fetchAll(t *testing.T, keys []pier.Value) ([]pier.Tuple, plan.OpStats) {
 	t.Helper()
 	rows := make([]pier.Tuple, len(keys))
 	for i, k := range keys {
 		rows[i] = pier.Tuple{k}
 	}
-	op := &plan.DHTFetch{Engine: env.engine, Table: piersearch.TableItem, Workers: workers, Input: &sliceOp{tuples: rows}}
+	op := &plan.DHTFetch{Engine: env.engine, Table: piersearch.TableItem, Input: &sliceOp{tuples: rows}}
 	out := drainAll(t, op)
 	return out, op.Stats()
 }
@@ -96,8 +96,8 @@ func (env *fetchEnv) checkOrder(t *testing.T, out []pier.Tuple) {
 // goroutine count it sees is the count while the batch is being resolved:
 // with the probes on pool workers it read baseline+workers.
 func TestDHTFetchServesCachedKeysInline(t *testing.T) {
-	env := newFetchEnv(t, 24)
-	out, cold := env.fetchAll(t, env.keys, 8)
+	env := newFetchEnv(t, 24, 8)
+	out, cold := env.fetchAll(t, env.keys)
 	env.checkOrder(t, out)
 	if cold.CacheHits != 0 || cold.Messages == 0 {
 		t.Fatalf("cold batch: %d hits, %d messages", cold.CacheHits, cold.Messages)
@@ -109,7 +109,7 @@ func TestDHTFetchServesCachedKeysInline(t *testing.T) {
 		probes++ // unsynchronised on purpose: -race flags a probe off this goroutine
 		most = max(most, runtime.NumGoroutine())
 	}
-	out, warm := env.fetchAll(t, env.keys, 8)
+	out, warm := env.fetchAll(t, env.keys)
 	env.onClock = nil
 	env.checkOrder(t, out)
 	if warm.CacheHits != len(env.keys) || warm.Messages != 0 {
@@ -143,7 +143,10 @@ func TestDHTFetchMixedBatchMatchesPerKeyFetch(t *testing.T) {
 		}
 	}
 
-	ref := newFetchEnv(t, nfiles)
+	// Both clusters run one worker: the batch's misses resolve in input
+	// order, as the reference's loop does, so both clusters' routing
+	// tables learn in the same order.
+	ref := newFetchEnv(t, nfiles, 1)
 	prime(ref)
 	var want pier.OpStats
 	for _, k := range ref.keys {
@@ -154,11 +157,9 @@ func TestDHTFetchMixedBatchMatchesPerKeyFetch(t *testing.T) {
 		want.Add(st)
 	}
 
-	env := newFetchEnv(t, nfiles)
+	env := newFetchEnv(t, nfiles, 1)
 	prime(env)
-	// One worker: the misses resolve in input order, as the reference's
-	// loop does, so both clusters' routing tables learn in the same order.
-	out, got := env.fetchAll(t, env.keys, 1)
+	out, got := env.fetchAll(t, env.keys)
 	env.checkOrder(t, out)
 	if wantHits := nfiles - (nfiles+2)/3; got.CacheHits != wantHits || want.CacheHits != wantHits {
 		t.Errorf("cache hits: batch %d, per-key %d, want %d", got.CacheHits, want.CacheHits, wantHits)
@@ -167,8 +168,8 @@ func TestDHTFetchMixedBatchMatchesPerKeyFetch(t *testing.T) {
 		t.Errorf("batch paid %d messages / %d bytes, per-key fetches %d / %d", got.Messages, got.Bytes, want.Messages, want.Bytes)
 	}
 
-	// The misses are cached now; wide or narrow, the next batch is all hits.
-	out, again := env.fetchAll(t, env.keys, 8)
+	// The misses are cached now; the next batch is all hits.
+	out, again := env.fetchAll(t, env.keys)
 	env.checkOrder(t, out)
 	if again.CacheHits != nfiles || again.Messages != 0 {
 		t.Errorf("second batch: %d hits, %d messages; want %d, 0", again.CacheHits, again.Messages, nfiles)

@@ -3,7 +3,6 @@ package plan
 import (
 	"context"
 
-	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 )
 
@@ -29,13 +28,6 @@ type OpStats struct {
 	CacheHits   int
 	Coalesced   int
 	FanoutReads int
-}
-
-// addLookup folds one DHT operation's traffic into s.
-func (s *OpStats) addLookup(l dht.LookupStats) {
-	s.Messages += l.Messages
-	s.Bytes += l.Bytes
-	s.Hops += l.Hops
 }
 
 // addEngineOp folds a pier engine call's cost into s.

@@ -125,16 +125,15 @@ func (o *CacheSelect) Stats() OpStats { return o.src.stats }
 
 // DHTFetch resolves each input tuple's KeyCol value to the tuples stored
 // in the DHT under (Table, value), emitting the fetched tuples. Fetches
-// run Workers at a time: the operator pulls up to Workers keys from its
-// input, resolves the batch in parallel, streams the results, and only
-// then pulls more — so a consumer that stops early (a Limit above, a
-// canceled stream) wastes at most one batch of lookups.
+// run the engine's Workers at a time: the operator pulls that many keys
+// from its input, resolves the batch in parallel, streams the results,
+// and only then pulls more — so a consumer that stops early (a Limit
+// above, a canceled stream) wastes at most one batch of lookups.
 type DHTFetch struct {
-	Engine  *pier.Engine
-	Table   string
-	KeyCol  int
-	Workers int // parallel fetches per batch; <=0 means the engine default
-	Input   Operator
+	Engine *pier.Engine
+	Table  string
+	KeyCol int
+	Input  Operator
 
 	ctx       context.Context
 	open      bool
@@ -183,12 +182,8 @@ func (o *DHTFetch) Next() (pier.Tuple, error) {
 // than cancellation are likewise absorbed, matching the best-effort fetch
 // phase of the legacy paths.
 func (o *DHTFetch) fillBatch() error {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = o.Engine.Workers()
-	}
 	var keys []pier.Value
-	for len(keys) < workers {
+	for len(keys) < o.Engine.Workers() {
 		t, err := o.Input.Next()
 		if errors.Is(err, ErrDone) {
 			o.inputDone = true
@@ -208,7 +203,7 @@ func (o *DHTFetch) fillBatch() error {
 	// The engine answers every key the tier holds on this goroutine and
 	// sends only the misses to its pool, where identical concurrent
 	// fetches share one lookup. Without a tier every key is a miss.
-	fetched, cost := o.Engine.FetchCachedBatchContext(o.ctx, o.Table, keys, workers)
+	fetched, cost := o.Engine.FetchCachedBatchContext(o.ctx, o.Table, keys)
 	o.stats.addEngineOp(cost) // carries no Tuples; Next counts emissions
 	if err := o.ctx.Err(); err != nil {
 		return ctxWrap(o.ctx, err)

@@ -34,14 +34,6 @@ func (s Strategy) String() string {
 	}
 }
 
-// Options tune plan execution without changing its result set.
-type Options struct {
-	// Workers bounds the parallel item fetches of the DHTFetch stage. 0
-	// means the engine default. The chain join's probe fan-out is bounded
-	// by the engine's own pier.Config.Workers.
-	Workers int
-}
-
 // Query is a conjunctive-keyword query over a Catalog's relations.
 type Query struct {
 	// Terms are the conjunctive keywords, already tokenized.
@@ -52,8 +44,6 @@ type Query struct {
 	// into the match phase, so at most Limit candidates are shipped,
 	// fetched, or returned by the cache owner.
 	Limit int
-	// Options tune execution.
-	Options Options
 }
 
 // Catalog binds a planner to concrete relations: which table holds
@@ -174,11 +164,10 @@ func (p *Planner) Plan(q Query) (*CompiledPlan, error) {
 	root := match
 	if p.Catalog.ItemTable != "" {
 		root = &DHTFetch{
-			Engine:  p.Engine,
-			Table:   p.Catalog.ItemTable,
-			KeyCol:  0,
-			Workers: q.Options.Workers,
-			Input:   root,
+			Engine: p.Engine,
+			Table:  p.Catalog.ItemTable,
+			KeyCol: 0,
+			Input:  root,
 		}
 	}
 	root = &Limit{Input: root, N: q.Limit}

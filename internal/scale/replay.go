@@ -255,7 +255,7 @@ func Run(cfg Config) (*Report, error) {
 	// path from stable-core origins, paced at PublishQPS.
 	publishers := make([]*piersearch.Publisher, cfg.StableCore)
 	for i := 0; i < cfg.StableCore; i++ {
-		publishers[i] = piersearch.NewPublisher(engines[i], cfg.Mode, tok).WithWorkers(1)
+		publishers[i] = piersearch.NewPublisher(engines[i], cfg.Mode, tok)
 	}
 	pubLat := metrics.NewHistogram(1e-3, 1e3, 40)
 	pubFailed := 0
@@ -351,7 +351,7 @@ func Run(cfg Config) (*Report, error) {
 
 	searches := make([]*piersearch.Search, cfg.StableCore)
 	for i := 0; i < cfg.StableCore; i++ {
-		searches[i] = piersearch.NewSearch(engines[i], tok).WithWorkers(1)
+		searches[i] = piersearch.NewSearch(engines[i], tok)
 	}
 	qLat := metrics.NewHistogram(1e-3, 1e3, 40)
 	qMatchBytes := metrics.NewHistogram(1, 1e8, 10)

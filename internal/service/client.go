@@ -91,7 +91,7 @@ func (c *Client) window() int {
 }
 
 func fromQuery(q piersearch.Query) OpenQuery {
-	return OpenQuery{Version: Version, Text: q.Text, Strategy: q.Strategy, Limit: q.Limit, Workers: q.Workers}
+	return OpenQuery{Version: Version, Text: q.Text, Strategy: q.Strategy, Limit: q.Limit}
 }
 
 // Query submits q to the daemon and returns a result stream. Results

@@ -24,12 +24,12 @@
 // the internal/codec primitives. The stream's opening payload carries the
 // request; the daemon answers with response messages on the same stream.
 //
-//	OpenQuery     version | text | strategy | limit | workers
+//	OpenQuery     version | text | strategy | limit | trace context
 //	Batch         uvarint n | n x Item tuple (pier.Tuple wire form)
 //	Done          SearchStats | explain string
 //	Error         uvarint code | message
 //	Cancel        (empty)
-//	Explain       version | text | strategy | limit | workers
+//	Explain       version | text | strategy | limit | trace context
 //	ExplainResult explain string
 //	Publish       version | name | size | host | port | mode
 //	PublishDone   PublishStats

@@ -12,7 +12,7 @@ import (
 // re-encode (version fields are data, not validated here — the server
 // refuses them above the codec).
 func FuzzDecodeMsg(f *testing.F) {
-	f.Add(EncodeOpenQuery(OpenQuery{Version: Version, Text: "madonna prayer", Strategy: piersearch.StrategyJoin, Limit: 50, Workers: 4}))
+	f.Add(EncodeOpenQuery(OpenQuery{Version: Version, Text: "madonna prayer", Strategy: piersearch.StrategyJoin, Limit: 50}))
 	f.Add(EncodeExplain(OpenQuery{Version: 99, Text: "future version"}))
 	f.Add(EncodeBatch([]piersearch.Result{{File: piersearch.File{Name: "a.mp3", Size: 9, Host: "h", Port: 1}}}))
 	f.Add(EncodeDone(Done{Explain: "Limit(n=0)"}))

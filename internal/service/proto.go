@@ -20,7 +20,11 @@ import (
 // Version 3 added distributed tracing: OpenQuery carries the client's
 // trace context (trace + parent span IDs, zero when untraced) and Done
 // carries the span records the daemon collected for the query.
-const Version = 3
+//
+// Version 4 dropped OpenQuery's workers field. It let any client set the
+// width of the daemon's item-fetch pool, bounded only by the match
+// count; the daemon now always runs at its engine's pier.Config.Workers.
+const Version = 4
 
 // Message kinds: the first byte of every stream payload.
 const (
@@ -109,7 +113,6 @@ type OpenQuery struct {
 	Text     string
 	Strategy piersearch.Strategy
 	Limit    int
-	Workers  int
 
 	// TraceID/SpanID carry the client's trace context so the daemon's
 	// spans (and those of the owners it probes) parent under the
@@ -164,7 +167,6 @@ func appendQuery(dst []byte, kind byte, q OpenQuery) []byte {
 	dst = codec.AppendString(dst, q.Text)
 	dst = append(dst, byte(q.Strategy))
 	dst = codec.AppendUvarint(dst, uint64(q.Limit))
-	dst = codec.AppendUvarint(dst, uint64(q.Workers))
 	return telemetry.AppendTraceContext(dst, q.TraceID, q.SpanID)
 }
 
@@ -268,7 +270,6 @@ func Decode(payload []byte) (any, error) {
 	case MsgOpenQuery, MsgExplain:
 		q := OpenQuery{Version: r.Byte(), Text: r.String(), Strategy: piersearch.Strategy(r.Byte())}
 		q.Limit = int(r.Uvarint())
-		q.Workers = int(r.Uvarint())
 		q.TraceID, q.SpanID = telemetry.ReadTraceContext(r)
 		if err := r.Finish(); err != nil {
 			return nil, err

@@ -7,11 +7,20 @@ import (
 	"testing"
 	"time"
 
+	"piersearch/internal/codec"
 	"piersearch/internal/piersearch"
 )
 
 func TestOpenQueryRoundTrip(t *testing.T) {
-	q := OpenQuery{Version: Version, Text: "madonna like a prayer", Strategy: piersearch.StrategyCache, Limit: 50, Workers: 8}
+	q := OpenQuery{Version: Version, Text: "madonna like a prayer", Strategy: piersearch.StrategyCache, Limit: 50}
+	// The v4 layout: kind, version, text, strategy, limit, trace context.
+	want := codec.AppendString([]byte{MsgOpenQuery, Version}, q.Text)
+	want = append(want, byte(q.Strategy))
+	want = codec.AppendUvarint(want, 50)
+	want = append(want, 0) // untraced
+	if frame := EncodeOpenQuery(q); !bytes.Equal(frame, want) {
+		t.Errorf("frame = %x, want %x", frame, want)
+	}
 	got, err := Decode(EncodeOpenQuery(q))
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // benchmarks: mild per-RPC latency so the item-fetch phase has a shape,
 // enough files that a full drain is visibly longer than the first batch.
 func benchEnv(b *testing.B) *service.Client {
-	e := newEnv(b, 6, 24, service.Options{BatchSize: 4})
+	e := newEnvWorkers(b, 6, 24, service.Options{BatchSize: 4}, 2)
 	e.transport.Delay = 2 * time.Millisecond
 	client := service.Dial(e.daemon.Addr())
 	b.Cleanup(func() { client.Close() })
@@ -29,7 +29,7 @@ func benchEnv(b *testing.B) *service.Client {
 // delivery would cost (ttfr-ns vs drain-ns per op).
 func BenchmarkRemoteQueryTTFR(b *testing.B) {
 	client := benchEnv(b)
-	q := piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin, Workers: 2}
+	q := piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin}
 	var ttfr, drainTime time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -69,7 +69,7 @@ func BenchmarkRemoteQueryTTFR(b *testing.B) {
 // perceived latency IS the drain time.
 func BenchmarkRemoteQueryBatch(b *testing.B) {
 	client := benchEnv(b)
-	q := piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin, Workers: 2}
+	q := piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := drainErr(client.Query(context.Background(), q))

@@ -347,7 +347,7 @@ func (s *Server) handleStream(st *wire.Stream, opening []byte, bucket *tokenBuck
 }
 
 func toQuery(m *OpenQuery) piersearch.Query {
-	return piersearch.Query{Text: m.Text, Strategy: m.Strategy, Limit: m.Limit, Workers: m.Workers}
+	return piersearch.Query{Text: m.Text, Strategy: m.Strategy, Limit: m.Limit}
 }
 
 // classify maps an execution error to a protocol error: cancellations and

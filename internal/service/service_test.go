@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"piersearch/internal/codec"
 	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
@@ -31,6 +32,14 @@ type env struct {
 
 func newEnv(t testing.TB, nodes, nfiles int, opts service.Options) *env {
 	t.Helper()
+	return newEnvWorkers(t, nodes, nfiles, opts, 0)
+}
+
+// newEnvWorkers is newEnv with the daemon's engine built with
+// pier.Config.Workers workers (0: the engine default), which sets how
+// many items each of the daemon's fetch batches resolves.
+func newEnvWorkers(t testing.TB, nodes, nfiles int, opts service.Options, workers int) *env {
+	t.Helper()
 	transport := wire.NewTCPTransport()
 	t.Cleanup(transport.Close)
 	dhtNodes := make([]*dht.Node, nodes)
@@ -44,7 +53,11 @@ func newEnv(t testing.TB, nodes, nfiles int, opts service.Options) *env {
 		srv := wire.NewServer(dhtNodes[i], ln)
 		go srv.Serve() //nolint:errcheck // closed in cleanup
 		t.Cleanup(srv.Close)
-		engines[i] = pier.NewEngine(dhtNodes[i], pier.Config{OrderBySelectivity: true})
+		cfg := pier.Config{OrderBySelectivity: true}
+		if i == 0 {
+			cfg.Workers = workers
+		}
+		engines[i] = pier.NewEngine(dhtNodes[i], cfg)
 		piersearch.RegisterSchemas(engines[i])
 	}
 	for i := 1; i < nodes; i++ {
@@ -146,7 +159,7 @@ func TestClientDaemonEndToEnd(t *testing.T) {
 // batch reaches the client while the daemon is still executing the rest
 // of the query, so time-to-first-result beats the full-query wall time.
 func TestRemoteStreamingTTFR(t *testing.T) {
-	e := newEnv(t, 6, 24, service.Options{BatchSize: 4})
+	e := newEnvWorkers(t, 6, 24, service.Options{BatchSize: 4}, 2)
 	// Wide-area latency on every DHT hop from here on: the item-fetch
 	// phase becomes the dominant, batch-by-batch cost.
 	e.transport.Delay = 15 * time.Millisecond
@@ -156,7 +169,7 @@ func TestRemoteStreamingTTFR(t *testing.T) {
 
 	start := time.Now()
 	rs, err := client.Query(context.Background(), piersearch.Query{
-		Text: "common stream", Strategy: piersearch.StrategyJoin, Workers: 2,
+		Text: "common stream", Strategy: piersearch.StrategyJoin,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +194,7 @@ func TestRemoteStreamingTTFR(t *testing.T) {
 // the stream promptly, cancels the daemon-side plan (admission slot
 // drains), and leaves no goroutines behind on either side.
 func TestCancelMidStreamNoLeak(t *testing.T) {
-	e := newEnv(t, 6, 24, service.Options{BatchSize: 2})
+	e := newEnvWorkers(t, 6, 24, service.Options{BatchSize: 2}, 1)
 	e.transport.Delay = 10 * time.Millisecond
 
 	client := service.Dial(e.daemon.Addr())
@@ -191,7 +204,7 @@ func TestCancelMidStreamNoLeak(t *testing.T) {
 	// include the session's mux loops (read loop and flusher at each end).
 	// The DHT connection pool is left out of the count altogether — see
 	// queryGoroutines.
-	warm, err := client.Query(context.Background(), piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin, Workers: 1})
+	warm, err := client.Query(context.Background(), piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +213,7 @@ func TestCancelMidStreamNoLeak(t *testing.T) {
 	base := queryGoroutines()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	rs, err := client.Query(ctx, piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin, Workers: 1})
+	rs, err := client.Query(ctx, piersearch.Query{Text: "common stream", Strategy: piersearch.StrategyJoin})
 	if err != nil {
 		cancel()
 		t.Fatal(err)
@@ -385,7 +398,7 @@ func TestRemotePublish(t *testing.T) {
 
 func dialTCP(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
-// TestVersionRefused: a request from a future protocol version gets
+// TestVersionRefused: a request from another protocol version gets
 // CodeVersion, not a guess.
 func TestVersionRefused(t *testing.T) {
 	e := newEnv(t, 4, 0, service.Options{})
@@ -395,43 +408,41 @@ func TestVersionRefused(t *testing.T) {
 	}
 	m := wire.NewClientMux(conn)
 	defer m.Close()
-	st, err := m.Open(service.EncodeOpenQuery(service.OpenQuery{Version: 99, Text: "x"}), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	p, err := st.Recv(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, err := service.Decode(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, ok := msg.(*service.Error)
-	if !ok || se.Code != service.CodeVersion {
-		t.Fatalf("version-99 answer = %#v, want CodeVersion error", msg)
-	}
 
-	// A future version whose body layout v3 cannot even parse must still
-	// get CodeVersion — the version byte's offset is the invariant.
-	future := append(service.EncodeOpenQuery(service.OpenQuery{Version: 4, Text: "x"}), 0xAA, 0xBB)
-	st2, err := m.Open(future, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	p2, err := st2.Recv(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg2, err := service.Decode(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se2, ok := msg2.(*service.Error)
-	if !ok || se2.Code != service.CodeVersion {
-		t.Fatalf("future-layout answer = %#v, want CodeVersion error", msg2)
+	// A version-3 OpenQuery carried a workers uvarint after the limit: the
+	// client's bound on the daemon's fetch pool, which version 4 dropped.
+	v3 := codec.AppendString([]byte{service.MsgOpenQuery, 3}, "x")
+	v3 = append(v3, byte(piersearch.StrategyJoin))
+	v3 = codec.AppendUvarint(v3, 0)    // limit
+	v3 = codec.AppendUvarint(v3, 1000) // workers
+	v3 = append(v3, 0)                 // untraced
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"version 99", service.EncodeOpenQuery(service.OpenQuery{Version: 99, Text: "x"})},
+		// A future version whose body layout this one cannot even parse
+		// must still get CodeVersion — the version byte's offset is the
+		// invariant.
+		{"future layout", append(service.EncodeOpenQuery(service.OpenQuery{Version: service.Version + 1, Text: "x"}), 0xAA, 0xBB)},
+		{"version 3 with workers", v3},
+	} {
+		st, err := m.Open(c.frame, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := st.Recv(context.Background())
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := service.Decode(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if se, ok := msg.(*service.Error); !ok || se.Code != service.CodeVersion {
+			t.Errorf("%s: answer = %#v, want CodeVersion error", c.name, msg)
+		}
 	}
 }
 

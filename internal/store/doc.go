@@ -13,6 +13,7 @@
 //	<dir>/wal-%016d.log     the active write-ahead log (exactly one)
 //	<dir>/seg-%016d.seg     immutable sealed segments
 //	<dir>/seg-%016d.tmp     compaction output in progress (removed on open)
+//	<dir>/node-id           cmd/piersearch's node ID (not read by the store)
 //
 // The WAL and segments share one file format, so sealing a WAL into a
 // segment is a rename. The decimal in the name is the file's sequence

@@ -83,7 +83,7 @@ func BenchmarkPlanVsLegacy(b *testing.B) {
 		b.ReportMetric(float64(bytes), "query-bytes")
 	})
 	b.Run("operator-plan", func(b *testing.B) {
-		s := env.search(3, 8)
+		s := env.search(3)
 		var bytes int
 		for i := 0; i < b.N; i++ {
 			n, by := planJoinQuery(b, s, "alpha beta gamma")
@@ -107,10 +107,10 @@ func TestPlanVsLegacyEquivalence(t *testing.T) {
 	keywords := []string{"alpha", "beta", "gamma"}
 	// Warm routing tables, then measure.
 	legacyJoinQuery(t, env.engines[3], keywords)
-	planJoinQuery(t, env.search(3, 8), "alpha beta gamma")
+	planJoinQuery(t, env.search(3), "alpha beta gamma")
 
 	legacyN, legacyBytes := legacyJoinQuery(t, env.engines[3], keywords)
-	planN, planBytes := planJoinQuery(t, env.search(3, 8), "alpha beta gamma")
+	planN, planBytes := planJoinQuery(t, env.search(3), "alpha beta gamma")
 	if legacyN != planN {
 		t.Fatalf("plan returned %d results, legacy %d", planN, legacyN)
 	}
