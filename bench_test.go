@@ -490,7 +490,7 @@ func BenchmarkAblationDynamicQuery(b *testing.B) {
 					DynamicQuery: mode.dynamic, MaxTTL: 4, DesiredResults: 5, Seed: int64(i),
 				})
 				q := net.Query(0, []string{"popular", "anthem"})
-				net.Sim.Run()
+				net.Clock.Drain()
 				msgs = q.Messages
 			}
 			b.ReportMetric(float64(msgs), "messages/query")

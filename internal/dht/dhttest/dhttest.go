@@ -1,7 +1,7 @@
 // Package dhttest provides a reusable conformance suite for
 // dht.Transport implementations. Every in-process transport — LocalNetwork
 // both synchronous and with wall-clock link latency, and the virtual-time
-// scale.Net — must agree on the same observable contract:
+// simnet.Net — must agree on the same observable contract:
 // responses match their requests, sequential calls arrive in order,
 // unreachable and detached nodes fail cleanly, canceled contexts abort
 // before the handler runs, concurrent callers do not corrupt each other

@@ -137,7 +137,7 @@ func (r *Response) WireSize() int {
 
 // Transport delivers RPCs to remote nodes. Implementations: LocalNetwork
 // (in-process, simulated accounting, optional wall-clock link latency),
-// scale.Net (virtual-time links) and the TCP transport in package wire.
+// simnet.Net (virtual-time links) and the TCP transport in package wire.
 type Transport interface {
 	// CallContext delivers req to the node at to and returns its response.
 	// A nil response with a non-nil error means the node is unreachable.

@@ -7,9 +7,8 @@ import (
 )
 
 // This file defines churn *schedules*: precomputed, deterministic
-// sequences of down/up events over a host population. The overlay in this
-// package applies them to ultrapeers (ScheduleChurn); the scale harness in
-// internal/scale applies them to DHT nodes. Precomputing the whole
+// sequences of down/up events over a host population. The scale harness
+// in internal/scale applies them to DHT nodes. Precomputing the whole
 // schedule from a seed — rather than rolling dice as the simulation runs —
 // is what keeps replays byte-reproducible: the same seed always yields the
 // same event list regardless of how the consumer interleaves it with other

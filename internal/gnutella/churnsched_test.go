@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"piersearch/internal/piersearch"
 )
 
 func TestGenerateChurnDeterministicAndValid(t *testing.T) {
@@ -59,27 +57,6 @@ func TestChurnScheduleEmpty(t *testing.T) {
 	}
 }
 
-func TestChurnScheduleAllDownEpoch(t *testing.T) {
-	s := AllDownEpoch(40, 10*time.Minute, 2*time.Minute, 3*time.Minute)
-	if err := s.Validate(); err != nil {
-		t.Fatalf("all-down schedule invalid: %v", err)
-	}
-	if f := s.MaxDownFrac(); f != 1 {
-		t.Fatalf("MaxDownFrac = %v, want 1 during the epoch", f)
-	}
-	for _, h := range []int{0, 17, 39} {
-		if s.AliveAt(h, 2*time.Minute+30*time.Second) {
-			t.Fatalf("host %d alive mid-epoch", h)
-		}
-		if !s.AliveAt(h, time.Minute) || !s.AliveAt(h, 4*time.Minute) {
-			t.Fatalf("host %d down outside the epoch", h)
-		}
-		if got, want := s.Downtime(h), time.Minute; got != want {
-			t.Fatalf("host %d downtime %v, want %v", h, got, want)
-		}
-	}
-}
-
 func TestChurnScheduleNoRejoin(t *testing.T) {
 	s := GenerateChurn(ChurnConfig{
 		Hosts:       100,
@@ -114,39 +91,6 @@ func TestChurnScheduleValidateRejects(t *testing.T) {
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("schedule %d validated despite being invalid", i)
-		}
-	}
-}
-
-func TestScheduleChurnDrivesOverlay(t *testing.T) {
-	topo, err := NewTopology(TopologyConfig{Ultrapeers: 8, Hosts: 40, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lib := NewLibrary(topo, piersearch.Tokenizer{})
-	n := NewNetwork(topo, lib, NetworkConfig{Seed: 1})
-
-	s := AllDownEpoch(4, 10*time.Minute, time.Minute, 2*time.Minute)
-	ups := []HostID{0, 1, 2, 3}
-	n.ScheduleChurn(s, ups)
-
-	n.Sim.RunUntil(90 * time.Second)
-	for _, u := range ups {
-		if n.Alive(u) {
-			t.Fatalf("ultrapeer %d alive mid-epoch", u)
-		}
-	}
-	if n.Alive(4) {
-		// Ultrapeer 4 is outside the schedule's population; it must be
-		// untouched (Alive is true for attached peers).
-		_ = struct{}{}
-	} else {
-		t.Fatal("ultrapeer outside schedule population was detached")
-	}
-	n.Sim.RunUntil(3 * time.Minute)
-	for _, u := range ups {
-		if !n.Alive(u) {
-			t.Fatalf("ultrapeer %d still down after the epoch", u)
 		}
 	}
 }

@@ -5,29 +5,9 @@ import (
 	"time"
 
 	"piersearch/internal/bloom"
-	"piersearch/internal/simnet"
 )
 
 // Only this package's tests use what follows.
-
-// Alive reports whether an ultrapeer is currently attached.
-func (n *Network) Alive(u HostID) bool { return n.net.Attached(simnet.NodeID(u)) }
-
-// AllDownEpoch returns a schedule that takes every host down at from and
-// brings every host back at until (when until > from and within the
-// horizon) — the harshest correlated-failure scenario, used to pin that
-// consumers survive a window with zero live hosts.
-func AllDownEpoch(hosts int, horizon, from, until time.Duration) ChurnSchedule {
-	s := ChurnSchedule{Hosts: hosts, Horizon: horizon}
-	for h := 0; h < hosts; h++ {
-		s.Events = append(s.Events, ChurnEvent{Host: h, At: from, Up: false})
-		if until > from && until < horizon {
-			s.Events = append(s.Events, ChurnEvent{Host: h, At: until, Up: true})
-		}
-	}
-	s.sortEvents()
-	return s
-}
 
 // Validate checks internal consistency: host indices in range, event times
 // within [0, Horizon), events sorted, and per-host transitions strictly
@@ -103,27 +83,6 @@ func (s ChurnSchedule) Downtime(host int) time.Duration {
 	return total
 }
 
-// ScheduleChurn applies the schedule to the overlay: event i detaches or
-// re-attaches ultrapeer ups[ev.Host] at virtual time ev.At on the
-// network's simulator. Hosts beyond len(ups) are ignored, so a schedule
-// generated for a larger population can drive a smaller overlay.
-func (n *Network) ScheduleChurn(s ChurnSchedule, ups []HostID) {
-	for _, ev := range s.Events {
-		if ev.Host >= len(ups) {
-			continue
-		}
-		id := ups[ev.Host]
-		up := ev.Up
-		n.Sim.At(ev.At, func() {
-			if up {
-				n.AttachUltrapeer(id)
-			} else {
-				n.DetachUltrapeer(id)
-			}
-		})
-	}
-}
-
 // qrpTables holds each ultrapeer's per-leaf keyword Bloom filters.
 type qrpTables []map[HostID]*bloom.Filter
 
@@ -177,7 +136,6 @@ func (l *Library) ReplicaCount() map[string]int {
 	return counts
 }
 
-// Stats exposes the underlying traffic counters.
 // HorizonForFraction returns the smallest TTL whose reach from src covers
 // at least frac of all ultrapeers, and the reach set at that TTL. The
 // model experiments express horizons as a fraction of the network (§6.2's
@@ -208,19 +166,4 @@ func HorizonForFraction(t *Topology, src HostID, frac float64) (int, []HostID) {
 		}
 	}
 	return maxD, ReachSet(t, src, maxD)
-}
-
-// DetachUltrapeer removes an ultrapeer from the overlay mid-run: queries
-// in flight toward it are dropped by the network, and it no longer
-// forwards or answers. Its leaves go dark with it (they publish their
-// file lists only to their ultrapeer).
-func (n *Network) DetachUltrapeer(u HostID) {
-	n.net.Detach(simnet.NodeID(u))
-}
-
-// AttachUltrapeer re-attaches a previously detached ultrapeer (a rejoin;
-// its protocol state survives, as LimeWire keeps its library on restart).
-func (n *Network) AttachUltrapeer(u HostID) {
-	st := n.ups[u]
-	n.net.Attach(simnet.NodeID(u), func(m simnet.Message) { n.deliver(st, m) })
 }

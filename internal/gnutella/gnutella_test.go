@@ -277,7 +277,7 @@ func TestEventQueryFindsNearbyFile(t *testing.T) {
 	lib := libWith(t, topo, map[HostID][]string{target: {"rare gem demo.mp3"}})
 	net := NewNetwork(topo, lib, NetworkConfig{DynamicQuery: false, MaxTTL: 3, Seed: 4})
 	q := net.Query(0, []string{"rare", "gem"})
-	net.Sim.Run()
+	net.Clock.Drain()
 	if len(q.Results) != 1 {
 		t.Fatalf("results = %d, want 1", len(q.Results))
 	}
@@ -307,7 +307,7 @@ func TestEventQueryRespectsTTLHorizon(t *testing.T) {
 	lib := libWith(t, topo, map[HostID][]string{far: {"distant star.mp3"}})
 	net := NewNetwork(topo, lib, NetworkConfig{DynamicQuery: false, MaxTTL: 2, Seed: 4})
 	q := net.Query(0, []string{"distant"})
-	net.Sim.Run()
+	net.Clock.Drain()
 	if len(q.Results) != 0 {
 		t.Errorf("TTL-2 flood reached a depth-4 host: %d results", len(q.Results))
 	}
@@ -329,7 +329,7 @@ func TestDynamicQueryDeepensUntilFound(t *testing.T) {
 	lib := libWith(t, topo, map[HostID][]string{far: {"deep rarity.mp3"}})
 	net := NewNetwork(topo, lib, NetworkConfig{DynamicQuery: true, MaxTTL: 5, Seed: 4})
 	q := net.Query(0, []string{"deep", "rarity"})
-	net.Sim.Run()
+	net.Clock.Drain()
 	if len(q.Results) != 1 {
 		t.Fatalf("dynamic query found %d results", len(q.Results))
 	}
@@ -353,7 +353,7 @@ func TestDynamicQueryStopsWhenSatisfied(t *testing.T) {
 	lib := libWith(t, topo, files)
 	net := NewNetwork(topo, lib, NetworkConfig{DynamicQuery: true, MaxTTL: 5, DesiredResults: 3, Seed: 4})
 	q := net.Query(0, []string{"popular", "hit"})
-	net.Sim.Run()
+	net.Clock.Drain()
 	if q.Rounds != 1 {
 		t.Errorf("rounds = %d, want 1 (satisfied early)", q.Rounds)
 	}
@@ -386,7 +386,7 @@ func TestPopularFasterThanRare(t *testing.T) {
 
 	popular := net.Query(0, []string{"popular", "anthem"})
 	rare := net.Query(0, []string{"obscure", "bside"})
-	net.Sim.Run()
+	net.Clock.Drain()
 
 	pl, rl := popular.FirstResultLatency(), rare.FirstResultLatency()
 	if pl < 0 || rl < 0 {
@@ -450,7 +450,7 @@ func BenchmarkEventQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := NewNetwork(topo, lib, NetworkConfig{DynamicQuery: false, MaxTTL: 3, Seed: int64(i)})
 		q := net.Query(i%300, []string{fmt.Sprintf("artist%d", i%40)})
-		net.Sim.Run()
+		net.Clock.Drain()
 		_ = q.Results
 	}
 }

@@ -1,9 +1,9 @@
 package gnutella
 
 import (
+	"math/rand"
 	"time"
 
-	"piersearch/internal/sim"
 	"piersearch/internal/simnet"
 )
 
@@ -24,7 +24,7 @@ type NetworkConfig struct {
 	// RoundWait is how long the origin waits for a round's results before
 	// re-flooding deeper (default 12 s).
 	RoundWait time.Duration
-	// Seed drives the network latency sampling.
+	// Seed drives the hop-delay sampling.
 	Seed int64
 }
 
@@ -53,7 +53,6 @@ type Hit struct {
 
 // QueryOutcome accumulates one query's results as the simulation runs.
 type QueryOutcome struct {
-	ID       uint64
 	Origin   HostID // the ultrapeer the query entered the overlay at
 	Terms    []string
 	Started  time.Duration
@@ -62,7 +61,6 @@ type QueryOutcome struct {
 	Rounds   int // dynamic-query rounds issued
 
 	seen map[FileRef]bool
-	done bool
 }
 
 // FirstResultLatency returns the delay from query start to the first hit,
@@ -82,7 +80,6 @@ func (q *QueryOutcome) FirstResultLatency() time.Duration {
 
 // queryMsg floods outward; hitMsg routes back along the reverse path.
 type queryMsg struct {
-	QID   uint64
 	GUID  uint64
 	Terms []string
 	TTL   int
@@ -90,7 +87,6 @@ type queryMsg struct {
 }
 
 type hitMsg struct {
-	QID  uint64
 	GUID uint64
 	Refs []FileRef
 }
@@ -101,55 +97,47 @@ type upState struct {
 	seenGUID map[uint64]HostID // GUID -> previous hop (reverse path table)
 }
 
-// Network is the event-driven Gnutella overlay.
+// Network is the event-driven Gnutella overlay. Every hop is a Clock
+// callback; nothing runs until the caller advances Clock (RunUntil or
+// Drain).
 type Network struct {
-	Sim  *sim.Sim
-	cfg  NetworkConfig
-	topo *Topology
-	lib  *Library
-	net  *simnet.Network
-	ups  []*upState
+	Clock *simnet.Clock
+	cfg   NetworkConfig
+	topo  *Topology
+	lib   *Library
+	rng   *rand.Rand // hop delays, drawn in send order
+	ups   []*upState
 
-	queries  map[uint64]*QueryOutcome
-	nextQID  uint64
 	nextGUID uint64
 }
 
-// NewNetwork builds the event overlay for topo/lib on a fresh simulator.
+// NewNetwork builds the event overlay for topo/lib on a fresh clock.
 func NewNetwork(topo *Topology, lib *Library, cfg NetworkConfig) *Network {
 	cfg = cfg.Normalize()
-	s := sim.New(cfg.Seed)
 	n := &Network{
-		Sim:     s,
-		cfg:     cfg,
-		topo:    topo,
-		lib:     lib,
-		net:     simnet.New(s, simnet.WithLatency(cfg.HopDelay)),
-		queries: make(map[uint64]*QueryOutcome),
+		Clock: simnet.NewClock(),
+		cfg:   cfg,
+		topo:  topo,
+		lib:   lib,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	for u := 0; u < topo.NumUltrapeers(); u++ {
-		st := &upState{id: u, seenGUID: make(map[uint64]HostID)}
-		n.ups = append(n.ups, st)
-		id := simnet.NodeID(u)
-		n.net.Attach(id, func(m simnet.Message) { n.deliver(st, m) })
+		n.ups = append(n.ups, &upState{id: u, seenGUID: make(map[uint64]HostID)})
 	}
 	return n
 }
 
 // Query injects a query at origin (a leaf enters via its ultrapeer) and
-// returns its outcome, which fills in as the simulation advances. Run the
-// simulator (n.Sim.Run or RunUntil) to make progress.
+// returns its outcome, which fills in as the clock advances. Run
+// n.Clock.RunUntil or Drain to make progress.
 func (n *Network) Query(origin HostID, terms []string) *QueryOutcome {
 	up := n.topo.UltrapeerOf(origin)
-	n.nextQID++
 	q := &QueryOutcome{
-		ID:      n.nextQID,
 		Origin:  up,
 		Terms:   terms,
-		Started: n.Sim.Now(),
+		Started: n.Clock.Now(),
 		seen:    make(map[FileRef]bool),
 	}
-	n.queries[q.ID] = q
 	if n.cfg.DynamicQuery {
 		n.round(q, 1)
 	} else {
@@ -168,59 +156,38 @@ func (n *Network) round(q *QueryOutcome, ttl int) {
 	st.seenGUID[guid] = q.Origin // origin: reverse path terminates here
 
 	// The origin ultrapeer answers from its own subtree immediately.
-	n.recordHits(q, n.lib.MatchAt(q.Origin, q.Terms), n.Sim.Now())
+	n.recordHits(q, n.lib.MatchAt(q.Origin, q.Terms), n.Clock.Now())
 
-	msg := queryMsg{QID: q.ID, GUID: guid, Terms: q.Terms, TTL: ttl, Hops: 1}
+	msg := queryMsg{GUID: guid, Terms: q.Terms, TTL: ttl, Hops: 1}
 	for _, v := range n.topo.UPAdj[q.Origin] {
-		n.send(q, q.Origin, v, "query", msg)
+		n.send(q, func() { n.handleQuery(q, n.ups[v], q.Origin, msg) })
 	}
 
 	if n.cfg.DynamicQuery && ttl < n.cfg.MaxTTL {
-		n.Sim.After(n.cfg.RoundWait, func() {
+		n.Clock.At(n.Clock.Now()+n.cfg.RoundWait, func() {
 			if len(q.Results) < n.cfg.DesiredResults {
 				n.round(q, ttl+1)
-			} else {
-				q.done = true
 			}
 		})
 	}
 }
 
-func (n *Network) send(q *QueryOutcome, from, to HostID, kind string, payload any) {
+// send charges one transmission to q and runs deliver at the receiving
+// ultrapeer one sampled hop delay from now.
+func (n *Network) send(q *QueryOutcome, deliver func()) {
 	q.Messages++
-	size := 60 // Gnutella header + descriptor, approximate
-	if qm, ok := payload.(queryMsg); ok {
-		for _, t := range qm.Terms {
-			size += len(t) + 1
-		}
-	}
-	if hm, ok := payload.(hitMsg); ok {
-		size += len(hm.Refs) * 80 // result record: name, size, host, port
-	}
-	n.net.Send(simnet.Message{From: simnet.NodeID(from), To: simnet.NodeID(to), Kind: kind, Payload: payload, Size: size})
+	n.Clock.At(n.Clock.Now()+n.cfg.HopDelay.Delay(n.rng), deliver)
 }
 
-func (n *Network) deliver(st *upState, m simnet.Message) {
-	switch msg := m.Payload.(type) {
-	case queryMsg:
-		n.handleQuery(st, HostID(m.From), msg)
-	case hitMsg:
-		n.handleHit(st, msg)
-	}
-}
-
-func (n *Network) handleQuery(st *upState, from HostID, msg queryMsg) {
-	q := n.queries[msg.QID]
-	if q == nil {
-		return
-	}
+func (n *Network) handleQuery(q *QueryOutcome, st *upState, from HostID, msg queryMsg) {
 	if _, dup := st.seenGUID[msg.GUID]; dup {
 		return // duplicate suppression: already answered this GUID
 	}
 	st.seenGUID[msg.GUID] = from
 
 	if refs := n.lib.MatchAt(st.id, msg.Terms); len(refs) > 0 {
-		n.send(q, st.id, from, "queryhit", hitMsg{QID: msg.QID, GUID: msg.GUID, Refs: refs})
+		hit := hitMsg{GUID: msg.GUID, Refs: refs}
+		n.send(q, func() { n.handleHit(q, n.ups[from], hit) })
 	}
 	if msg.TTL > 1 {
 		fwd := msg
@@ -228,26 +195,22 @@ func (n *Network) handleQuery(st *upState, from HostID, msg queryMsg) {
 		fwd.Hops++
 		for _, v := range n.topo.UPAdj[st.id] {
 			if v != from {
-				n.send(q, st.id, v, "query", fwd)
+				n.send(q, func() { n.handleQuery(q, n.ups[v], st.id, fwd) })
 			}
 		}
 	}
 }
 
-func (n *Network) handleHit(st *upState, msg hitMsg) {
-	q := n.queries[msg.QID]
-	if q == nil {
-		return
-	}
+func (n *Network) handleHit(q *QueryOutcome, st *upState, msg hitMsg) {
 	prev, ok := st.seenGUID[msg.GUID]
 	if !ok {
 		return // path expired
 	}
 	if st.id == q.Origin {
-		n.recordHits(q, msg.Refs, n.Sim.Now())
+		n.recordHits(q, msg.Refs, n.Clock.Now())
 		return
 	}
-	n.send(q, st.id, prev, "queryhit", msg)
+	n.send(q, func() { n.handleHit(q, n.ups[prev], msg) })
 }
 
 func (n *Network) recordHits(q *QueryOutcome, refs []FileRef, at time.Duration) {

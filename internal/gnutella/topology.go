@@ -10,9 +10,9 @@
 //   - Study mode (study.go): analytic BFS over the topology — reach sets,
 //     flood message counts, first-match depths. This is how Figures 4–8 are
 //     computed at 100k-host scale without event-level simulation.
-//   - Event mode (network.go): discrete-event flooding on internal/sim with
-//     per-hop forwarding delays, used by the deployment experiments and to
-//     validate the analytic mode.
+//   - Event mode (network.go): discrete-event flooding on simnet.Clock
+//     with per-hop forwarding delays, used by the deployment experiments
+//     and to validate the analytic mode.
 package gnutella
 
 import (

@@ -187,12 +187,12 @@ func (u *Ultrapeer) PublishLocal(host gnutella.HostID) error {
 func (u *Ultrapeer) QueryContext(ctx context.Context, text string, terms []string) (Outcome, error) {
 	q := u.gnet.Query(u.Host, terms)
 	deadline := q.Started + u.cfg.GnutellaTimeout
-	u.gnet.Sim.RunUntil(deadline)
+	u.gnet.Clock.RunUntil(deadline)
 
 	if len(q.Results) > 0 {
 		// Let in-flight hits drain so the outcome has the full Gnutella
 		// result set, but the first-result latency is already fixed.
-		u.gnet.Sim.Run()
+		u.gnet.Clock.Drain()
 		return Outcome{
 			Source:          SourceGnutella,
 			Results:         len(q.Results),
@@ -207,7 +207,7 @@ func (u *Ultrapeer) QueryContext(ctx context.Context, text string, terms []strin
 	if err != nil {
 		return Outcome{Source: SourceNone, FirstLatency: -1, GnutellaLatency: -1, PierStats: stats}, err
 	}
-	u.gnet.Sim.Run() // drain late Gnutella traffic for the counterfactual
+	u.gnet.Clock.Drain() // drain late Gnutella traffic for the counterfactual
 	out := Outcome{
 		GnutellaResults: len(q.Results),
 		GnutellaLatency: q.FirstResultLatency(),

@@ -14,15 +14,16 @@ import (
 // codec packages, and no map-iteration-ordered encoding anywhere.
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "bans time.Now/time.Sleep and global math/rand in internal/scale and internal/codec, and map iteration in encode paths everywhere — the byte-identical BENCH_scale.json contract depends on it",
+	Doc:  "bans time.Now/time.Sleep and global math/rand in internal/scale, internal/simnet, internal/gnutella and internal/codec, and map iteration in encode paths everywhere — the byte-identical BENCH_scale.json contract depends on it; instants come from simnet.Clock",
 	Run:  run,
 }
 
 // clockScoped lists the package-path suffixes where the wall-clock
-// and global-rand bans apply: the virtual-time harness (every
-// observable instant must come from the event clock) and the codec
-// (pure functions of their input, no environmental state).
-var clockScoped = []string{"internal/scale", "internal/codec"}
+// and global-rand bans apply: the virtual-time harness, the clock and
+// transport it runs on, and the Gnutella overlay (every observable
+// instant must come from simnet.Clock), and the codec (pure functions
+// of their input, no environmental state).
+var clockScoped = []string{"internal/scale", "internal/simnet", "internal/gnutella", "internal/codec"}
 
 // bannedTime is the wall-clock surface of package time. Timers and
 // tickers are included: each one is a hidden wall-clock read.

@@ -10,6 +10,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	linttest.Run(t, "testdata/src", determinism.Analyzer,
 		"p/internal/scale",
+		"p/internal/simnet",
 		"p/internal/codec",
 		"p/internal/other",
 	)

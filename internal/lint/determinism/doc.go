@@ -9,10 +9,11 @@
 // byte-identical plan-vs-legacy equivalence from PR 3, survive only
 // if nothing in those paths observes the environment:
 //
-//   - No wall clocks in internal/scale or internal/codec: time.Now,
-//     time.Sleep, time.Since, time.After, timers and tickers all read
-//     the machine clock. The harness takes every instant from
-//     scale.Clock; the codec is a pure function of its input.
+//   - No wall clocks in internal/scale, internal/simnet,
+//     internal/gnutella or internal/codec: time.Now, time.Sleep,
+//     time.Since, time.After, timers and tickers all read the machine
+//     clock. The harness and the Gnutella overlay take every instant
+//     from simnet.Clock; the codec is a pure function of its input.
 //   - No global math/rand anywhere the rule is scoped: the package
 //     -level source is seeded randomly at process start (and
 //     rand.Seed is gone), so rand.Intn in a replay path makes two

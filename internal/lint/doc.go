@@ -23,7 +23,8 @@
 //
 // determinism (origin: PR 6, virtual-time scale harness). The replay
 // harness promises bit-identical runs for a given seed, so
-// internal/scale and internal/codec may not read the wall clock
+// internal/scale, internal/simnet (home of simnet.Clock),
+// internal/gnutella and internal/codec may not read the wall clock
 // (time.Now, time.Sleep, timers) or the global math/rand source, and
 // encode paths anywhere may not iterate a map while building wire
 // bytes — map order would leak into encodings.

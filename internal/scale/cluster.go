@@ -1,11 +1,9 @@
 package scale
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
-	"time"
 
 	"piersearch/internal/dht"
 	"piersearch/internal/simnet"
@@ -22,8 +20,8 @@ const contactsPerRange = 8
 // each node is seeded with contacts in every sibling half of the ID space
 // it shares a prefix with, the exact invariant iterative lookups need.
 type Cluster struct {
-	Clock *Clock
-	Net   *Net
+	Clock *simnet.Clock
+	Net   *simnet.Net
 	Nodes []*dht.Node
 
 	// byID holds indices into Nodes ordered by node ID; ids mirrors it.
@@ -32,49 +30,16 @@ type Cluster struct {
 	ids  []dht.ID
 }
 
-// lookupWaitPoll is the virtual time between checks when a starved lookup
-// worker waits for in-flight probes. Each poll costs one scheduler event,
-// so it is deliberately coarse relative to simulated RPC latency: a
-// starved worker re-checks a few times per in-flight probe instead of
-// dozens, which keeps large replays' event counts (and wall time) down.
-const lookupWaitPoll = 50 * time.Millisecond
-
-// ClockConfig adapts cfg to run under clock: timestamps, task spawning,
-// sleeping and lookup waits all route through the virtual-time scheduler,
-// so DHT maintenance loops and α-parallel lookup workers are ordinary
-// clock tasks and same-seed replays stay byte-identical.
-func ClockConfig(clock *Clock, cfg dht.Config) dht.Config {
-	cfg.Clock = clock.Now
-	cfg.Go = clock.Go
-	cfg.Sleep = clock.Sleep
-	cfg.LookupWait = func(ctx context.Context, wake <-chan struct{}) {
-		// Poll rather than select: a bare channel receive would block
-		// outside the clock and stall the scheduler forever.
-		for {
-			select {
-			case <-wake:
-				return
-			default:
-			}
-			if ctx.Err() != nil {
-				return
-			}
-			clock.Sleep(lookupWaitPoll)
-		}
-	}
-	return cfg
-}
-
 // NewCluster builds n nodes on a fresh Net over clock. IDs derive from
-// seed; cfg is rebased onto the virtual clock (see ClockConfig) so
+// seed; cfg is rebased onto the virtual clock (see simnet.ClockConfig) so
 // stored-value timestamps, lookup workers and maintenance loops all live
 // in virtual time.
-func NewCluster(n int, seed int64, clock *Clock, latency simnet.LatencyModel, cfg dht.Config) (*Cluster, error) {
+func NewCluster(n int, seed int64, clock *simnet.Clock, latency simnet.LatencyModel, cfg dht.Config) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("scale: cluster size %d must be positive", n)
 	}
-	cfg = ClockConfig(clock, cfg)
-	c := &Cluster{Clock: clock, Net: NewNet(clock, latency, seed+1)}
+	cfg = simnet.ClockConfig(clock, cfg)
+	c := &Cluster{Clock: clock, Net: simnet.NewNet(clock, latency, seed+1)}
 	rng := rand.New(rand.NewSource(seed))
 	c.Nodes = make([]*dht.Node, n)
 	for i := 0; i < n; i++ {

@@ -3,16 +3,22 @@
 // replacing wall-clock link latency (dht.LocalNetwork.SetLatency) with
 // an event-driven virtual clock.
 //
-// The pieces:
+// The substrate lives in internal/simnet:
 //
-//   - Clock: a deterministic cooperative scheduler. Workloads run as
-//     clock tasks that may only block via Clock.Sleep; the scheduler runs
-//     exactly one task at a time and hands control over at sleep points in
-//     event-time order, so a seeded run is fully reproducible — including
-//     shared-rng latency sampling and routing-table mutation order.
-//   - Net: a dht.Transport whose latency legs are Clock.Sleep
+//   - simnet.Clock: a deterministic cooperative scheduler. Workloads run
+//     as clock tasks that may only block via Clock.Sleep; the scheduler
+//     runs exactly one task at a time and hands control over at sleep
+//     points in event-time order, so a seeded run is fully reproducible —
+//     including shared-rng latency sampling and routing-table mutation
+//     order.
+//   - simnet.Net: a dht.Transport whose latency legs are Clock.Sleep
 //     calls, with churn hooks (Detach/Reattach) and the same traffic
 //     accounting as the wall-clock transports.
+//   - simnet.ClockConfig: rebases a dht.Config's timestamps, task
+//     spawning, sleeps and lookup waits onto the clock.
+//
+// This package builds the harness on it:
+//
 //   - Cluster: a cluster builder that skips the O(n·k) RPC bootstrap.
 //     Node IDs are sorted and routing tables are warm-filled offline
 //     (dht.Node.SeedContact) with contacts in every populated sibling
@@ -27,10 +33,10 @@
 //   - Hot-key phases (hotkey.go): an optional paired experiment after
 //     churn drains — the same Zipf-skewed single-term workload replayed
 //     with every node's internal/hotcache tier removed and then with
-//     fresh tiers, over identical networks. Net's per-destination
+//     fresh tiers, over identical networks. simnet.Net's per-destination
 //     counters locate the hottest node in each phase; the report carries
 //     its load under both and their ratio. The tier's singleflight waits
-//     must poll via Clock.Sleep (see scaleTierOptions) — a channel
+//     must poll via simnet.Clock.Sleep (see scaleTierOptions) — a channel
 //     select would block outside the scheduler and deadlock the clock.
 //   - Report: the schema-versioned, deterministically-ordered JSON the
 //     replay serializes to BENCH_scale.json so the perf trajectory is

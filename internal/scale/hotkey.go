@@ -25,6 +25,7 @@ import (
 	"piersearch/internal/metrics"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
+	"piersearch/internal/simnet"
 	"piersearch/internal/trace"
 )
 
@@ -55,7 +56,7 @@ type HotKeyParams struct {
 // runs: small budgets (10k+ nodes share one process), the virtual clock,
 // and a poll-based singleflight wait — the default channel select would
 // block outside the clock and deadlock the scheduler.
-func scaleTierOptions(clock *Clock) hotcache.Options {
+func scaleTierOptions(clock *simnet.Clock) hotcache.Options {
 	return hotcache.Options{
 		MaxBytes:     1 << 20,
 		Shards:       4,
@@ -204,7 +205,7 @@ func hottestNode(preM, postM, preB, postB map[string]uint64) HotNodeStats {
 // hotRunner carries the state the hot-key phases share.
 type hotRunner struct {
 	cfg      Config
-	clock    *Clock
+	clock    *simnet.Clock
 	cl       *Cluster
 	engines  []*pier.Engine
 	searches []*piersearch.Search

@@ -8,6 +8,7 @@ import (
 
 	"piersearch/internal/dht"
 	"piersearch/internal/scale"
+	"piersearch/internal/simnet"
 )
 
 // placementAgreement builds a cluster with join-complete routing tables,
@@ -19,7 +20,7 @@ import (
 func placementAgreement(t *testing.T, nodes, core int, keys []dht.ID, downFrac float64,
 	resolve func(cl *scale.Cluster, origin *dht.Node, key dht.ID) map[string]bool) (agree int, msgs uint64) {
 	t.Helper()
-	clock := scale.NewClock()
+	clock := simnet.NewClock()
 	cl, err := scale.NewCluster(nodes, 5, clock, nil, dht.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -41,9 +42,11 @@ func placementAgreement(t *testing.T, nodes, core int, keys []dht.ID, downFrac f
 		}
 	}
 	rng := rand.New(rand.NewSource(6))
+	down := make(map[string]bool)
 	for _, n := range cl.Nodes[core:] {
 		if rng.Float64() < downFrac {
 			cl.Net.Detach(n.Info().Addr)
+			down[n.Info().Addr] = true
 		}
 	}
 	replicate := cl.Nodes[0].Config().Replicate
@@ -55,7 +58,7 @@ func placementAgreement(t *testing.T, nodes, core int, keys []dht.ID, downFrac f
 			// Far more than Replicate of the true closest, so enough live
 			// ones remain after dropping the detached and the origin.
 			for _, n := range cl.Closest(key, 16*replicate) {
-				if n == origin || cl.Net.Down(n.Info().Addr) {
+				if n == origin || down[n.Info().Addr] {
 					continue
 				}
 				if !got[n.Info().Addr] {

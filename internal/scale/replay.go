@@ -173,7 +173,7 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("scale: Nodes must be positive")
 	}
-	clock := NewClock()
+	clock := simnet.NewClock()
 	cl, err := NewCluster(cfg.Nodes, cfg.Seed, clock, cfg.Latency, dht.Config{
 		Replicate:         cfg.Replicate,
 		RefreshInterval:   cfg.Survival.Refresh,

@@ -7,6 +7,7 @@ import (
 
 	"piersearch/internal/dht"
 	"piersearch/internal/metrics"
+	"piersearch/internal/simnet"
 )
 
 // runRoutingPhase measures the Kademlia layer directly: RoutingLookups
@@ -15,7 +16,7 @@ import (
 // table state across every node. Lookup hops must grow like O(log n) and
 // per-node contacts like O(k·log n) — the two structural claims the
 // acceptance tests pin.
-func runRoutingPhase(cfg Config, clock *Clock, cl *Cluster) (*RoutingReport, error) {
+func runRoutingPhase(cfg Config, clock *simnet.Clock, cl *Cluster) (*RoutingReport, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 404))
 	targets := make([]dht.ID, cfg.RoutingLookups)
 	for i := range targets {

@@ -8,6 +8,7 @@ import (
 
 	"piersearch/internal/dht"
 	"piersearch/internal/metrics"
+	"piersearch/internal/simnet"
 )
 
 // survivalPoll is how often the survival root task re-checks for query
@@ -23,7 +24,7 @@ const survivalPoll = 100 * time.Millisecond
 // when at least one live holder still answers; with Replicate=3 and
 // republish running, the acceptance bar is a ≥99% survival rate under 30%
 // removal (0.3³ ≈ 2.7% loss without repair).
-func runSurvival(cfg Config, clock *Clock, cl *Cluster, keys []dht.ID) (*SurvivalReport, error) {
+func runSurvival(cfg Config, clock *simnet.Clock, cl *Cluster, keys []dht.ID) (*SurvivalReport, error) {
 	p := cfg.Survival
 	rng := rand.New(rand.NewSource(cfg.Seed + 303))
 	sample := make([]dht.ID, p.Keys)

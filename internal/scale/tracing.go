@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"piersearch/internal/piersearch"
+	"piersearch/internal/simnet"
 	"piersearch/internal/telemetry"
 )
 
@@ -21,7 +22,7 @@ const scaleRingSpans = 256
 // origins' node tracers nil is what makes sampling selective — a query
 // without a sampled root carries no trace context, and the untraced
 // fast path records nothing anywhere.
-func attachTracers(cl *Cluster, stableCore int, clock *Clock) []*telemetry.Tracer {
+func attachTracers(cl *Cluster, stableCore int, clock *simnet.Clock) []*telemetry.Tracer {
 	for i := stableCore; i < len(cl.Nodes); i++ {
 		cl.Nodes[i].SetTracer(telemetry.NewTracer(cl.Nodes[i].Info().Addr,
 			telemetry.WithClock(clock.Now), telemetry.WithRingSize(scaleRingSpans)))

@@ -1,4 +1,4 @@
-package scale
+package simnet
 
 import (
 	"container/heap"
@@ -8,13 +8,14 @@ import (
 )
 
 // Clock is a deterministic virtual-time scheduler. Workloads run as tasks
-// (Go); a task may block only via Sleep. The scheduler admits exactly one
-// task at a time: it pops the earliest event, advances virtual time, wakes
-// that event's task (or runs its callback inline), and waits for the woken
-// task to block or finish before touching the next event. Ties break by
-// insertion order. Because at most one task ever executes, every shared
-// structure — transport rng, routing tables, stores — is mutated in one
-// reproducible order, which is what makes same-seed replays byte-identical.
+// (Go) or as inline callbacks (At); a task may block only via Sleep. The
+// scheduler admits exactly one task at a time: it pops the earliest event,
+// advances virtual time, wakes that event's task (or runs its callback
+// inline), and waits for the woken task to block or finish before touching
+// the next event. Ties break by insertion order. Because at most one task
+// ever executes, every shared structure — transport rng, routing tables,
+// stores — is mutated in one reproducible order, which is what makes
+// same-seed replays byte-identical.
 //
 // The cost is a rule: tasks must not block on anything the clock cannot
 // see (bare channels, mutex convoys held across Sleep, wall-clock timers).
@@ -124,6 +125,9 @@ func (c *Clock) taskDone() {
 	c.mu.Unlock()
 }
 
+// never is a horizon past every event: Run and Drain step without bound.
+const never = time.Duration(1<<63 - 1)
+
 // Run executes root and every task it transitively spawns to completion,
 // advancing virtual time as needed. It returns when no live tasks remain;
 // events still queued (e.g. churn callbacks beyond the workload's end)
@@ -133,37 +137,67 @@ func (c *Clock) Run(root func()) error {
 	c.Go(root)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		for c.active > 0 {
-			c.cond.Wait()
-		}
-		if c.tasks == 0 {
-			return nil
-		}
-		if c.events.Len() == 0 {
-			return fmt.Errorf("scale: %d tasks blocked outside the clock with no pending events", c.tasks)
-		}
-		ev := heap.Pop(&c.events).(event)
-		if ev.at > c.now {
-			c.now = ev.at
-		}
-		switch {
-		case ev.wake != nil:
-			c.active = 1
-			close(ev.wake)
-		case ev.start != nil:
-			c.active = 1
-			fn := ev.start
-			go func() {
-				defer c.taskDone()
-				fn()
-			}()
-		default:
-			// Inline callback: runs on the scheduler goroutine, so it must
-			// not Sleep. Release the lock so it may call Go/At/Now.
-			c.mu.Unlock()
-			ev.fn()
-			c.mu.Lock()
+	for c.tasks > 0 {
+		if !c.step(never) {
+			return fmt.Errorf("simnet: %d tasks blocked outside the clock with no pending events", c.tasks)
 		}
 	}
+	return nil
+}
+
+// RunUntil fires every event due at or before t — callbacks, task starts
+// and task wake-ups alike, including those scheduled along the way — and
+// then advances the clock to t. Later events stay queued.
+func (c *Clock) RunUntil(t time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.step(t) {
+	}
+	if t > c.now {
+		c.now = t
+	}
+}
+
+// Drain fires events until none are left, leaving the clock at the last
+// one's time.
+func (c *Clock) Drain() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.step(never) {
+	}
+}
+
+// step fires the earliest event if it is due at or before until, and
+// waits for any task it woke to park in Sleep or finish. It reports
+// whether an event fired. c.mu must be held, with no task runnable.
+func (c *Clock) step(until time.Duration) bool {
+	if c.events.Len() == 0 || c.events[0].at > until {
+		return false
+	}
+	ev := heap.Pop(&c.events).(event)
+	if ev.at > c.now {
+		c.now = ev.at
+	}
+	switch {
+	case ev.wake != nil:
+		c.active = 1
+		close(ev.wake)
+	case ev.start != nil:
+		c.active = 1
+		fn := ev.start
+		go func() {
+			defer c.taskDone()
+			fn()
+		}()
+	default:
+		// Inline callback: runs on the scheduler goroutine, so it must
+		// not Sleep. Release the lock so it may call Go/At/Now.
+		c.mu.Unlock()
+		ev.fn()
+		c.mu.Lock()
+	}
+	for c.active > 0 {
+		c.cond.Wait()
+	}
+	return true
 }

@@ -1,6 +1,7 @@
-package scale
+package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -32,24 +33,83 @@ func TestClockRunsTasksInEventTimeOrder(t *testing.T) {
 }
 
 func TestClockTieBreaksByInsertion(t *testing.T) {
-	c := NewClock()
-	var order []int
-	err := c.Run(func() {
-		for i := 0; i < 8; i++ {
-			i := i
-			c.Go(func() {
-				c.Sleep(time.Millisecond) // all wake at the same instant
-				order = append(order, i)
+	for _, tc := range []struct {
+		name string
+		run  func(c *Clock, record func(int)) error
+	}{
+		{"tasks", func(c *Clock, record func(int)) error {
+			return c.Run(func() {
+				for i := 0; i < 8; i++ {
+					c.Go(func() {
+						c.Sleep(time.Millisecond) // all wake at the same instant
+						record(i)
+					})
+				}
 			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		}},
+		{"callbacks", func(c *Clock, record func(int)) error {
+			for i := 0; i < 8; i++ {
+				c.At(time.Millisecond, func() { record(i) })
+			}
+			c.Drain()
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var order []int
+			if err := tc.run(NewClock(), func(i int) { order = append(order, i) }); err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != 8 {
+				t.Fatalf("ran %d of 8 tied events", len(order))
+			}
+			for i, v := range order {
+				if v != i {
+					t.Fatalf("tied events ran as %v, want insertion order", order)
+				}
+			}
+		})
 	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("tied events ran as %v, want insertion order", order)
-		}
+}
+
+func TestClockRunUntilAndDrain(t *testing.T) {
+	c := NewClock()
+	var fired []string
+	record := func(s string) func() { return func() { fired = append(fired, s) } }
+	c.At(time.Second, func() {
+		fired = append(fired, "a")
+		// Scheduled by a callback, and still due before the horizon.
+		c.At(c.Now()+500*time.Millisecond, record("b"))
+	})
+	c.At(2*time.Second, record("edge")) // due exactly at the horizon
+	c.At(3*time.Second, record("late"))
+	woke := time.Duration(-1)
+	c.Go(func() {
+		c.Sleep(1200 * time.Millisecond)
+		woke = c.Now()
+	})
+
+	c.RunUntil(2 * time.Second)
+	if got := fmt.Sprint(fired); got != "[a b edge]" {
+		t.Fatalf("RunUntil(2s) fired %s, want [a b edge]", got)
+	}
+	if woke != 1200*time.Millisecond {
+		t.Fatalf("sleeping task woke at %v, want 1.2s", woke)
+	}
+	if c.Now() != 2*time.Second {
+		t.Fatalf("Now = %v after RunUntil(2s), want 2s", c.Now())
+	}
+	c.RunUntil(2500 * time.Millisecond) // nothing due: only time moves
+	if len(fired) != 3 || c.Now() != 2500*time.Millisecond {
+		t.Fatalf("empty RunUntil fired %v, Now = %v", fired, c.Now())
+	}
+
+	c.Drain()
+	if got := fmt.Sprint(fired); got != "[a b edge late]" {
+		t.Fatalf("Drain fired %s, want [a b edge late]", got)
+	}
+	if c.Now() != 3*time.Second {
+		t.Fatalf("Now = %v after Drain, want 3s (the last event)", c.Now())
 	}
 }
 

@@ -1,4 +1,4 @@
-package scale_test
+package simnet_test
 
 import (
 	"fmt"
@@ -8,20 +8,19 @@ import (
 
 	"piersearch/internal/dht"
 	"piersearch/internal/dht/dhttest"
-	"piersearch/internal/scale"
 	"piersearch/internal/simnet"
 )
 
 func TestVirtualNetConformance(t *testing.T) {
 	dhttest.RunConformance(t, func(t *testing.T) *dhttest.Harness {
-		clock := scale.NewClock()
-		net := scale.NewNet(clock, simnet.Constant(10*time.Millisecond), 1)
+		clock := simnet.NewClock()
+		net := simnet.NewNet(clock, simnet.Constant(10*time.Millisecond), 1)
 		rng := rand.New(rand.NewSource(7))
 		next := 0
 		return &dhttest.Harness{
 			Transport: net,
 			NewNode: func() *dht.Node {
-				n := dht.NewNode(dht.NodeInfo{ID: dht.SeededID(rng), Addr: fmt.Sprintf("vt-%d", next)}, net, scale.ClockConfig(clock, dht.Config{}))
+				n := dht.NewNode(dht.NodeInfo{ID: dht.SeededID(rng), Addr: fmt.Sprintf("vt-%d", next)}, net, simnet.ClockConfig(clock, dht.Config{}))
 				next++
 				net.Join(n)
 				t.Cleanup(func() { n.Close() }) //nolint:errcheck // test teardown

@@ -1,20 +1,20 @@
-package scale
+package simnet
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
 	"sync"
+	"time"
 
 	"piersearch/internal/dht"
-	"piersearch/internal/simnet"
 )
 
 // Net is the virtual-time dht.Transport: each RPC pays two sampled
 // latency legs as Clock.Sleep calls instead of wall-clock timers, so a
 // 100k-node cluster's traffic executes as fast as the host can switch
-// tasks. Latency is drawn from the same simnet.LatencyModel vocabulary as
-// the wall-clock transports; because the clock serialises callers, the
+// tasks. Latency is drawn from the same LatencyModel vocabulary as the
+// wall-clock transports; because the clock serialises callers, the
 // shared rng is consumed in a reproducible order.
 //
 // Churn is modelled with Detach/Reattach: a detached node stays
@@ -24,7 +24,7 @@ import (
 // argument assumes.
 type Net struct {
 	clock   *Clock
-	latency simnet.LatencyModel
+	latency LatencyModel
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -43,10 +43,10 @@ type Net struct {
 }
 
 // NewNet creates a transport on clock. latency nil means
-// simnet.DefaultWideArea; seed drives latency sampling.
-func NewNet(clock *Clock, latency simnet.LatencyModel, seed int64) *Net {
+// DefaultWideArea; seed drives latency sampling.
+func NewNet(clock *Clock, latency LatencyModel, seed int64) *Net {
 	if latency == nil {
-		latency = simnet.DefaultWideArea()
+		latency = DefaultWideArea()
 	}
 	return &Net{
 		clock:    clock,
@@ -129,7 +129,7 @@ func (vn *Net) PerNode() (msgs, bytes map[string]uint64) {
 // fails it and the handler never runs.
 func (vn *Net) CallContext(ctx context.Context, to dht.NodeInfo, req *dht.Request) (*dht.Response, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("scale: call %s: %w", to.Addr, err)
+		return nil, fmt.Errorf("simnet: call %s: %w", to.Addr, err)
 	}
 	vn.mu.Lock()
 	there := vn.latency.Delay(vn.rng)
@@ -148,12 +148,12 @@ func (vn *Net) CallContext(ctx context.Context, to dht.NodeInfo, req *dht.Reques
 	}
 	vn.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("scale: node %s unreachable", to.Addr)
+		return nil, fmt.Errorf("simnet: node %s unreachable", to.Addr)
 	}
 	resp := node.HandleRPC(req)
 	vn.clock.Sleep(back)
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("scale: call %s: %w", to.Addr, err)
+		return nil, fmt.Errorf("simnet: call %s: %w", to.Addr, err)
 	}
 
 	vn.mu.Lock()
@@ -161,4 +161,37 @@ func (vn *Net) CallContext(ctx context.Context, to dht.NodeInfo, req *dht.Reques
 	vn.perBytes[to.Addr] += uint64(resp.WireSize())
 	vn.mu.Unlock()
 	return resp, nil
+}
+
+// lookupWaitPoll is the virtual time between checks when a starved lookup
+// worker waits for in-flight probes. Each poll costs one scheduler event,
+// so it is deliberately coarse relative to simulated RPC latency: a
+// starved worker re-checks a few times per in-flight probe instead of
+// dozens, which keeps large replays' event counts (and wall time) down.
+const lookupWaitPoll = 50 * time.Millisecond
+
+// ClockConfig adapts cfg to run under clock: timestamps, task spawning,
+// sleeping and lookup waits all route through the virtual-time scheduler,
+// so DHT maintenance loops and α-parallel lookup workers are ordinary
+// clock tasks and same-seed replays stay byte-identical.
+func ClockConfig(clock *Clock, cfg dht.Config) dht.Config {
+	cfg.Clock = clock.Now
+	cfg.Go = clock.Go
+	cfg.Sleep = clock.Sleep
+	cfg.LookupWait = func(ctx context.Context, wake <-chan struct{}) {
+		// Poll rather than select: a bare channel receive would block
+		// outside the clock and stall the scheduler forever.
+		for {
+			select {
+			case <-wake:
+				return
+			default:
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			clock.Sleep(lookupWaitPoll)
+		}
+	}
+	return cfg
 }
