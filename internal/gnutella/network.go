@@ -61,6 +61,16 @@ type QueryOutcome struct {
 	Rounds   int // dynamic-query rounds issued
 
 	seen map[FileRef]bool
+	// prev is the reverse path table: the hop each ultrapeer first heard
+	// a round's GUID from. A GUID belongs to this query alone, so the
+	// table lives (and is freed) with it.
+	prev map[hop]HostID
+}
+
+// hop keys the reverse path table: one GUID at one ultrapeer.
+type hop struct {
+	guid uint64
+	up   HostID
 }
 
 // FirstResultLatency returns the delay from query start to the first hit,
@@ -91,12 +101,6 @@ type hitMsg struct {
 	Refs []FileRef
 }
 
-// upState is the per-ultrapeer protocol state.
-type upState struct {
-	id       HostID
-	seenGUID map[uint64]HostID // GUID -> previous hop (reverse path table)
-}
-
 // Network is the event-driven Gnutella overlay. Every hop is a Clock
 // callback; nothing runs until the caller advances Clock (RunUntil or
 // Drain).
@@ -106,7 +110,6 @@ type Network struct {
 	topo  *Topology
 	lib   *Library
 	rng   *rand.Rand // hop delays, drawn in send order
-	ups   []*upState
 
 	nextGUID uint64
 }
@@ -114,17 +117,13 @@ type Network struct {
 // NewNetwork builds the event overlay for topo/lib on a fresh clock.
 func NewNetwork(topo *Topology, lib *Library, cfg NetworkConfig) *Network {
 	cfg = cfg.Normalize()
-	n := &Network{
+	return &Network{
 		Clock: simnet.NewClock(),
 		cfg:   cfg,
 		topo:  topo,
 		lib:   lib,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	for u := 0; u < topo.NumUltrapeers(); u++ {
-		n.ups = append(n.ups, &upState{id: u, seenGUID: make(map[uint64]HostID)})
-	}
-	return n
 }
 
 // Query injects a query at origin (a leaf enters via its ultrapeer) and
@@ -137,6 +136,7 @@ func (n *Network) Query(origin HostID, terms []string) *QueryOutcome {
 		Terms:   terms,
 		Started: n.Clock.Now(),
 		seen:    make(map[FileRef]bool),
+		prev:    make(map[hop]HostID),
 	}
 	if n.cfg.DynamicQuery {
 		n.round(q, 1)
@@ -152,15 +152,14 @@ func (n *Network) round(q *QueryOutcome, ttl int) {
 	q.Rounds++
 	n.nextGUID++
 	guid := n.nextGUID
-	st := n.ups[q.Origin]
-	st.seenGUID[guid] = q.Origin // origin: reverse path terminates here
+	q.prev[hop{guid, q.Origin}] = q.Origin // origin: reverse path terminates here
 
 	// The origin ultrapeer answers from its own subtree immediately.
 	n.recordHits(q, n.lib.MatchAt(q.Origin, q.Terms), n.Clock.Now())
 
 	msg := queryMsg{GUID: guid, Terms: q.Terms, TTL: ttl, Hops: 1}
 	for _, v := range n.topo.UPAdj[q.Origin] {
-		n.send(q, func() { n.handleQuery(q, n.ups[v], q.Origin, msg) })
+		n.send(q, func() { n.handleQuery(q, v, q.Origin, msg) })
 	}
 
 	if n.cfg.DynamicQuery && ttl < n.cfg.MaxTTL {
@@ -179,38 +178,38 @@ func (n *Network) send(q *QueryOutcome, deliver func()) {
 	n.Clock.At(n.Clock.Now()+n.cfg.HopDelay.Delay(n.rng), deliver)
 }
 
-func (n *Network) handleQuery(q *QueryOutcome, st *upState, from HostID, msg queryMsg) {
-	if _, dup := st.seenGUID[msg.GUID]; dup {
+func (n *Network) handleQuery(q *QueryOutcome, at, from HostID, msg queryMsg) {
+	h := hop{msg.GUID, at}
+	if _, dup := q.prev[h]; dup {
 		return // duplicate suppression: already answered this GUID
 	}
-	st.seenGUID[msg.GUID] = from
+	q.prev[h] = from
 
-	if refs := n.lib.MatchAt(st.id, msg.Terms); len(refs) > 0 {
+	if refs := n.lib.MatchAt(at, msg.Terms); len(refs) > 0 {
 		hit := hitMsg{GUID: msg.GUID, Refs: refs}
-		n.send(q, func() { n.handleHit(q, n.ups[from], hit) })
+		n.send(q, func() { n.handleHit(q, from, hit) })
 	}
 	if msg.TTL > 1 {
 		fwd := msg
 		fwd.TTL--
 		fwd.Hops++
-		for _, v := range n.topo.UPAdj[st.id] {
+		for _, v := range n.topo.UPAdj[at] {
 			if v != from {
-				n.send(q, func() { n.handleQuery(q, n.ups[v], st.id, fwd) })
+				n.send(q, func() { n.handleQuery(q, v, at, fwd) })
 			}
 		}
 	}
 }
 
-func (n *Network) handleHit(q *QueryOutcome, st *upState, msg hitMsg) {
-	prev, ok := st.seenGUID[msg.GUID]
-	if !ok {
-		return // path expired
-	}
-	if st.id == q.Origin {
+// handleHit routes a hit one hop back toward the origin. Every ultrapeer
+// a hit reaches forwarded its query, so its reverse path entry is there.
+func (n *Network) handleHit(q *QueryOutcome, at HostID, msg hitMsg) {
+	if at == q.Origin {
 		n.recordHits(q, msg.Refs, n.Clock.Now())
 		return
 	}
-	n.send(q, func() { n.handleHit(q, n.ups[prev], msg) })
+	prev := q.prev[hop{msg.GUID, at}]
+	n.send(q, func() { n.handleHit(q, prev, msg) })
 }
 
 func (n *Network) recordHits(q *QueryOutcome, refs []FileRef, at time.Duration) {

@@ -271,14 +271,25 @@ func (e *Engine) ChainJoinConcurrentContext(ctx context.Context, table string, k
 	if sch.ColIndex(joinCol) < 0 {
 		return nil, OpStats{}, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table, joinCol)
 	}
-	return e.joinCached(ctx, table, keys, joinCol, limit, func(ctx context.Context) ([]Value, OpStats, error) {
+	// With a tier, identical concurrent joins run once, and repeats are
+	// served locally until a publish to any of the keys invalidates them.
+	t := e.hot.Load()
+	if t == nil {
 		return e.chainJoinConcurrentRun(ctx, table, keys, joinCol, limit)
-	})
+	}
+	var stats OpStats
+	sig, tags := joinSig(table, joinCol, keys, limit)
+	vals, err := readThrough(ctx, t, sig, valuesSize, &stats, func() ([]Value, error) {
+		vals, st, err := e.chainJoinConcurrentRun(ctx, table, keys, joinCol, limit)
+		stats.Add(st)
+		return vals, err
+	}, tags...)
+	return vals, stats, err
 }
 
 // chainJoinConcurrentRun is the probe+dispatch body of
-// ChainJoinConcurrentContext, split out so the tier's result cache and
-// singleflight wrap it whole.
+// ChainJoinConcurrentContext, split out so the tier's read-through wraps
+// it whole.
 func (e *Engine) chainJoinConcurrentRun(ctx context.Context, table string, keys []Value, joinCol string, limit int) ([]Value, OpStats, error) {
 	var stats OpStats
 	msg := chainMsg{

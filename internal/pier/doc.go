@@ -41,5 +41,7 @@
 //
 // OpStats reports per-operation traffic (messages, bytes, hops, posting
 // entries shipped) plus MaxInFlight, the concurrency high-water mark
-// actually reached.
+// actually reached, and the hot-key tier's counters. It is the one cost
+// type of the query path: plan.OpStats and piersearch.SearchStats embed
+// it.
 package pier

@@ -520,31 +520,9 @@ func (e *Engine) CacheSelectContext(ctx context.Context, table string, key Value
 		}
 		return tuples, nil
 	}
-	ht := e.hot.Load()
-	if ht == nil {
-		tuples, err := do()
-		return tuples, stats, err
-	}
 	sig, tag := selectSig(table, key, filters, textCol, limit)
-	if v, ok := ht.Data.Get(sig); ok {
-		stats.CacheHits++
-		return v.([]Tuple), stats, nil
-	}
-	v, shared, err := ht.Flights.Do(ctx, sig, func() (any, error) {
-		tuples, err := do()
-		if err != nil {
-			return nil, err
-		}
-		ht.Data.Put(sig, tuples, tuplesSize(tuples), tag)
-		return tuples, nil
-	})
-	if shared {
-		stats.Coalesced++
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	return v.([]Tuple), stats, nil
+	tuples, err := readThrough(ctx, e.hot.Load(), sig, tuplesSize, &stats, do, tag)
+	return tuples, stats, err
 }
 
 func (e *Engine) handleCache(_ dht.NodeInfo, data []byte) []byte {

@@ -18,6 +18,15 @@ package pier
 // from; a publish for that key — observed locally after PutContext, and
 // at every replica via the dht store observer riding on the STORE RPC —
 // purges all dependent entries at once.
+//
+// The f|, b|, j| and s| kinds are read through one helper, readThrough:
+// probe the data cache, else run the call once for every concurrent
+// caller (Flights) and cache its result. A fetch enters at its second
+// half, fill: its callers have probed the tier already
+// (FetchCachedBatchContext answers every cached key inline before it
+// starts the pool), and a second probe would count each miss twice. p|
+// (an owner-side scan, no network call to share) and r| (routes, with
+// replica fan-out) keep their own code.
 
 import (
 	"context"
@@ -60,6 +69,44 @@ func valuesSize(vs []Value) int64 {
 		n += int64(len(v.Key())) + 24
 	}
 	return n
+}
+
+// readThrough is the tier's one read-through: it answers ck from the
+// tier's data cache, or else fills it. With a nil tier it just runs call.
+func readThrough[T any](ctx context.Context, t *hotcache.Tier, ck string, size func(T) int64, stats *OpStats, call func() (T, error), tags ...string) (T, error) {
+	if t != nil {
+		if v, ok := t.Data.Get(ck); ok {
+			stats.CacheHits++
+			return v.(T), nil
+		}
+	}
+	return fill(ctx, t, ck, size, stats, call, tags...)
+}
+
+// fill is readThrough's miss half: call runs once for every concurrent
+// caller of ck, and its result is cached under tags. A caller that shared
+// another's call counts it as Coalesced; call's own cost lands only in the
+// stats of the caller that ran it.
+func fill[T any](ctx context.Context, t *hotcache.Tier, ck string, size func(T) int64, stats *OpStats, call func() (T, error), tags ...string) (T, error) {
+	if t == nil {
+		return call()
+	}
+	v, shared, err := t.Flights.Do(ctx, ck, func() (any, error) {
+		r, err := call()
+		if err != nil {
+			return nil, err
+		}
+		t.Data.Put(ck, r, size(r), tags...)
+		return r, nil
+	})
+	if shared {
+		stats.Coalesced++
+	}
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // sendRead routes a read-only application message to a live holder of
@@ -198,32 +245,17 @@ func (e *Engine) FetchCachedContext(ctx context.Context, table string, key Value
 
 // fetchMiss resolves a fetch the tier (nil: none installed) did not hold:
 // one DHT lookup shared by every concurrent fetch of the same key, its
-// result cached under the key's DHT id as the invalidation tag.
+// result cached under the key's DHT id as the invalidation tag. Its
+// callers have already probed the tier, so it goes straight to fill.
 func (e *Engine) fetchMiss(ctx context.Context, t *hotcache.Tier, table string, key Value) ([]Tuple, OpStats, error) {
 	var stats OpStats
-	if t == nil {
+	id := keyID(table, key)
+	tuples, err := fill(ctx, t, fetchKey(table, key), tuplesSize, &stats, func() ([]Tuple, error) {
 		tuples, ls, err := e.FetchContext(ctx, table, key)
 		stats.addLookup(ls)
-		return tuples, stats, err
-	}
-	ck := fetchKey(table, key)
-	v, shared, err := t.Flights.Do(ctx, ck, func() (any, error) {
-		tuples, ls, err := e.FetchContext(ctx, table, key)
-		stats.addLookup(ls)
-		if err != nil {
-			return nil, err
-		}
-		id := keyID(table, key)
-		t.Data.Put(ck, tuples, tuplesSize(tuples), string(id[:]))
-		return tuples, nil
-	})
-	if shared {
-		stats.Coalesced++
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	return v.([]Tuple), stats, nil
+		return tuples, err
+	}, string(id[:]))
+	return tuples, stats, err
 }
 
 // FetchCachedBatchContext resolves keys[i] to fetched[i], in input order.
@@ -297,33 +329,12 @@ func (e *Engine) bloomProbe(ctx context.Context, table string, key Value, joinCo
 		}
 		return br, nil
 	}
-	t := e.hot.Load()
-	if t == nil {
-		br, err := do()
-		return br, stats, err
-	}
 	tag := string(id[:])
-	ck := "b|" + joinCol + "|" + tag
-	if v, ok := t.Data.Get(ck); ok {
-		stats.CacheHits++
-		return v.(bloomReply), stats, nil
-	}
-	v, shared, err := t.Flights.Do(ctx, ck, func() (any, error) {
-		br, err := do()
-		if err != nil {
-			return nil, err
-		}
-		t.Data.Put(ck, br, int64(len(br.Filter))+16, tag)
-		return br, nil
-	})
-	if shared {
-		stats.Coalesced++
-	}
-	if err != nil {
-		return bloomReply{}, stats, err
-	}
-	return v.(bloomReply), stats, nil
+	br, err := readThrough(ctx, e.hot.Load(), "b|"+joinCol+"|"+tag, bloomSize, &stats, do, tag)
+	return br, stats, err
 }
+
+func bloomSize(br bloomReply) int64 { return int64(len(br.Filter)) + 16 }
 
 // joinSig builds the normalized signature and invalidation tags for a
 // chain join's cached result. The key SET is sorted — selectivity
@@ -349,40 +360,6 @@ func joinSig(table, joinCol string, keys []Value, limit int) (string, []string) 
 		b.WriteString(k)
 	}
 	return b.String(), tags
-}
-
-// joinCached wraps a chain-join execution with the tier's result cache
-// and singleflight: identical concurrent joins run once, repeats are
-// served locally until a publish to any of the keys invalidates them.
-func (e *Engine) joinCached(ctx context.Context, table string, keys []Value, joinCol string, limit int, run func(context.Context) ([]Value, OpStats, error)) ([]Value, OpStats, error) {
-	t := e.hot.Load()
-	if t == nil {
-		return run(ctx)
-	}
-	var stats OpStats
-	sig, tags := joinSig(table, joinCol, keys, limit)
-	if v, ok := t.Data.Get(sig); ok {
-		stats.CacheHits++
-		return v.([]Value), stats, nil
-	}
-	var inner OpStats
-	v, shared, err := t.Flights.Do(ctx, sig, func() (any, error) {
-		vals, st, err := run(ctx)
-		inner = st
-		if err != nil {
-			return nil, err
-		}
-		t.Data.Put(sig, vals, valuesSize(vals), tags...)
-		return vals, nil
-	})
-	stats.Add(inner) // zero for coalesced waiters: the leader paid the traffic
-	if shared {
-		stats.Coalesced++
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	return v.([]Value), stats, nil
 }
 
 // selectSig is joinSig's analogue for the InvertedCache plan.

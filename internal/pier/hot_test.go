@@ -222,7 +222,13 @@ func TestFetchCachePurgedOnPublish(t *testing.T) {
 	// Local-put path.
 	ri := nonHolderIndex(t, env, "Item", key)
 	req := env.engines[ri]
+	before := tiers[ri].Data.Stats().Misses
 	fetch(req, 1)
+	// FetchCachedContext probes the tier itself and then enters the
+	// read-through at fill, so a miss is counted once.
+	if got := tiers[ri].Data.Stats().Misses - before; got != 1 {
+		t.Fatalf("a missed fetch counted %d tier misses, want 1", got)
+	}
 	if st := fetch(req, 1); st.CacheHits != 1 || st.Messages != 0 {
 		t.Fatalf("second fetch: %d hits, %d messages; want a pure cache hit", st.CacheHits, st.Messages)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"piersearch/internal/bloom"
+	"piersearch/internal/codec"
 	"piersearch/internal/dht"
 )
 
@@ -365,6 +366,70 @@ func FuzzDecodeChainMsg(f *testing.F) {
 		}
 		if again.QID != msg.QID || !valueSetsEqual(again.Candidates, msg.Candidates) {
 			t.Fatal("re-decode mismatch")
+		}
+	})
+}
+
+// FuzzDecodeCacheMsg runs what any peer may send a key's owner through
+// the owner's cache-plan decoder. Run with:
+// go test -fuzz FuzzDecodeCacheMsg ./internal/pier
+func FuzzDecodeCacheMsg(f *testing.F) {
+	full := encodeCacheMsg(nil, &cacheMsg{Table: "InvertedCache", Key: String("alpha"), TextCol: "fulltext", Filters: []string{"beta", "gamma"}, Limit: 50})
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add(encodeCacheMsg(nil, &cacheMsg{Table: "t", Key: Int(-3), Limit: -1}))
+	// Over-long lengths: a table name and a filter count far beyond the frame.
+	f.Add(binary.AppendUvarint([]byte{msgVersion}, 1<<40))
+	huge := encodeCacheMsg(nil, &cacheMsg{Table: "t", Key: String("k"), TextCol: "c"})
+	huge = binary.AppendUvarint(huge[:len(huge)-2], 1<<40)
+	f.Add(huge)
+	f.Add([]byte{msgVersion})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := decodeCacheMsg(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeCacheMsg(encodeCacheMsg(nil, &msg))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, msg) {
+			t.Fatalf("re-decode mismatch: %+v, want %+v", again, msg)
+		}
+	})
+}
+
+// FuzzDecodeCacheReply runs what a key's owner sends back through the
+// origin's decode path: the reply codec, then DecodeTuple on every tuple.
+// Run with: go test -fuzz FuzzDecodeCacheReply ./internal/pier
+func FuzzDecodeCacheReply(f *testing.F) {
+	tuple := Tuple{String("alpha"), Bytes(benchFileID(0)), String("alpha beta.mp3")}.Encode(nil)
+	full := encodeCacheReply(nil, &cacheReply{Tuples: [][]byte{tuple, Tuple{Int(4)}.Encode(nil)}})
+	f.Add(full)
+	f.Add(full[:len(full)/2])
+	f.Add(encodeCacheReply(nil, &cacheReply{Err: "unknown table"}))
+	f.Add(encodeCacheReply(nil, &cacheReply{Tuples: [][]byte{{0xFF, 0xFF}}}))
+	// Over-long lengths: a tuple count and a tuple length beyond the frame.
+	f.Add(binary.AppendUvarint(codec.AppendString([]byte{msgVersion}, ""), 1<<40))
+	long := binary.AppendUvarint(codec.AppendString([]byte{msgVersion}, ""), 1)
+	f.Add(append(binary.AppendUvarint(long, 1<<40), tuple...))
+	f.Add([]byte{msgVersion})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cr, err := decodeCacheReply(data)
+		if err != nil {
+			return
+		}
+		again, err := decodeCacheReply(encodeCacheReply(nil, &cr))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, cr) {
+			t.Fatalf("re-decode mismatch: %+v, want %+v", again, cr)
+		}
+		for _, raw := range cr.Tuples {
+			DecodeTuple(raw) //nolint:errcheck // only a panic fails here
 		}
 	})
 }

@@ -42,15 +42,15 @@ type Result struct {
 // stored under another ID it is the tuple as stored.
 func (r Result) ItemTuple() pier.Tuple { return itemTuple(r.FileID, r.File) }
 
-// SearchStats reports the cost of answering one query.
+// SearchStats reports the cost of answering one query: the engine costs
+// summed over the whole plan (pier.OpStats: messages, bytes, hops,
+// postings shipped, in-flight high-water mark and the hot-key tier's
+// hits, coalesced calls and fan-out reads), plus the figures below.
 type SearchStats struct {
-	Strategy       Strategy
-	Keywords       int
-	Matches        int // fileIDs matched before Item fetch
-	Messages       int
-	Bytes          int
-	Hops           int
-	PostingShipped int
+	pier.OpStats
+	Strategy Strategy
+	Keywords int
+	Matches  int // fileIDs matched before Item fetch
 	// MatchBytes is the traffic of the fileID-matching phase alone,
 	// excluding the final Item fetches — the quantity §7 compares between
 	// the InvertedCache (~850 B) and distributed-join (~20 KB) plans.
@@ -58,16 +58,6 @@ type SearchStats struct {
 	// Wall is the end-to-end wall-clock latency of the query as the user
 	// observes it.
 	Wall time.Duration
-	// MaxInFlight is the high-water mark of concurrent DHT operations
-	// during the query; 1 means the plan executed fully sequentially.
-	MaxInFlight int
-	// CacheHits counts plan steps answered from the node's hot-key tier
-	// without network traffic; Coalesced counts steps that shared another
-	// in-flight identical call; FanoutReads counts hot-key reads spread
-	// to a non-primary replica. All zero when no tier is installed.
-	CacheHits   int
-	Coalesced   int
-	FanoutReads int
 }
 
 // Search answers conjunctive keyword queries against the PIERSearch index.

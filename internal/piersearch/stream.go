@@ -232,19 +232,12 @@ func (ps *planSource) Stats() SearchStats {
 	total := plan.TotalStats(ps.compiled.Root)
 	match := ps.compiled.Match.Stats()
 	stats := SearchStats{
-		Strategy:       ps.strategy,
-		Keywords:       ps.keywords,
-		Matches:        match.Tuples,
-		Messages:       total.Messages,
-		Bytes:          total.Bytes,
-		Hops:           total.Hops,
-		PostingShipped: total.PostingShipped,
-		MatchBytes:     plan.TotalStats(ps.compiled.Match).Bytes,
-		MaxInFlight:    total.MaxInFlight,
-		CacheHits:      total.CacheHits,
-		Coalesced:      total.Coalesced,
-		FanoutReads:    total.FanoutReads,
-		Wall:           ps.wall,
+		OpStats:    total.OpStats,
+		Strategy:   ps.strategy,
+		Keywords:   ps.keywords,
+		Matches:    match.Tuples,
+		MatchBytes: plan.TotalStats(ps.compiled.Match).Bytes,
+		Wall:       ps.wall,
 	}
 	if stats.Wall == 0 {
 		stats.Wall = time.Since(ps.start)

@@ -52,6 +52,7 @@
 // Planner.Plan compiles a Query against a Catalog (which relations hold
 // postings, cached fulltext, and items) into the paper's two plan shapes;
 // see Plan's doc comment for the trees. The package holds only the
-// operators the planner compiles: ChainJoin, CacheSelect, DHTFetch,
-// Limit, Project and Distinct.
+// operators the planner compiles: ChainJoin, CacheSelect, DHTFetch and
+// Limit. Each match operator emits the join column alone, one tuple per
+// distinct value, so DHTFetch reads its key from column 0 in both plans.
 package plan

@@ -118,8 +118,8 @@ func (o *ChainJoin) Describe() string {
 
 // Describe implements Describer.
 func (o *CacheSelect) Describe() string {
-	return fmt.Sprintf("CacheSelect(%s, key=%s, filters=[%s], limit=%d)",
-		o.Table, o.Key.Text(), strings.Join(o.Filters, " "), o.Limit)
+	return fmt.Sprintf("CacheSelect(%s, key=%s, filters=[%s], joinCol=%d, limit=%d)",
+		o.Table, o.Key.Text(), strings.Join(o.Filters, " "), o.JoinCol, o.Limit)
 }
 
 // Describe implements Describer.
@@ -129,24 +129,3 @@ func (o *DHTFetch) Describe() string {
 
 // Describe implements Describer.
 func (o *Limit) Describe() string { return fmt.Sprintf("Limit(n=%d)", o.N) }
-
-// Describe implements Describer.
-func (o *Project) Describe() string {
-	cols := make([]string, len(o.Cols))
-	for i, c := range o.Cols {
-		cols[i] = fmt.Sprint(c)
-	}
-	return fmt.Sprintf("Project(cols=[%s])", strings.Join(cols, " "))
-}
-
-// Describe implements Describer.
-func (o *Distinct) Describe() string {
-	if len(o.Cols) == 0 {
-		return "Distinct"
-	}
-	cols := make([]string, len(o.Cols))
-	for i, c := range o.Cols {
-		cols[i] = fmt.Sprint(c)
-	}
-	return fmt.Sprintf("Distinct(cols=[%s])", strings.Join(cols, " "))
-}

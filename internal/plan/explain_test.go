@@ -64,7 +64,7 @@ func TestExplainRendersPlanShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	cacheOut := cachePlan.Explain()
-	for _, want := range []string{"Distinct", "Project(cols=[", "CacheSelect(InvertedCache, key=alpha, filters=[beta]"} {
+	for _, want := range []string{"CacheSelect(InvertedCache, key=alpha, filters=[beta], joinCol=1, limit=0)", "└─ CacheSelect"} {
 		if !strings.Contains(cacheOut, want) {
 			t.Errorf("cache explain missing %q:\n%s", want, cacheOut)
 		}

@@ -6,42 +6,14 @@ import (
 	"piersearch/internal/pier"
 )
 
-// OpStats describes the cost one operator has accrued so far. Counters are
-// per-operator (a parent does not fold in its children); use TotalStats to
-// cost a whole tree.
+// OpStats describes the cost one operator has accrued so far: the engine
+// costs of the calls it made itself (see pier.OpStats) and the tuples it
+// emitted. Counters are per-operator (a parent does not fold in its
+// children); use TotalStats to cost a whole tree.
 type OpStats struct {
+	pier.OpStats
 	// Tuples counts tuples this operator has emitted from Next.
 	Tuples int
-	// Messages/Bytes/Hops are the DHT traffic this operator issued itself.
-	Messages int
-	Bytes    int
-	Hops     int
-	// PostingShipped counts posting-list entries rehashed between nodes by
-	// a distributed join this operator ran.
-	PostingShipped int
-	// MaxInFlight is the high-water mark of concurrent DHT operations this
-	// operator kept outstanding.
-	MaxInFlight int
-	// CacheHits, Coalesced and FanoutReads mirror pier.OpStats: work the
-	// hot-key tier answered locally, shared with an identical in-flight
-	// call, or spread across replicas. Zero without a tier.
-	CacheHits   int
-	Coalesced   int
-	FanoutReads int
-}
-
-// addEngineOp folds a pier engine call's cost into s.
-func (s *OpStats) addEngineOp(o pier.OpStats) {
-	s.Messages += o.Messages
-	s.Bytes += o.Bytes
-	s.Hops += o.Hops
-	s.PostingShipped += o.PostingShipped
-	s.CacheHits += o.CacheHits
-	s.Coalesced += o.Coalesced
-	s.FanoutReads += o.FanoutReads
-	if o.MaxInFlight > s.MaxInFlight {
-		s.MaxInFlight = o.MaxInFlight
-	}
 }
 
 // Add merges o into s. Additive counters sum; MaxInFlight takes the
@@ -49,17 +21,8 @@ func (s *OpStats) addEngineOp(o pier.OpStats) {
 // query 2k-wide unless they actually overlap, which per-op stats cannot
 // see — the maximum is the conservative merge).
 func (s *OpStats) Add(o OpStats) {
+	s.OpStats.Add(o.OpStats)
 	s.Tuples += o.Tuples
-	s.Messages += o.Messages
-	s.Bytes += o.Bytes
-	s.Hops += o.Hops
-	s.PostingShipped += o.PostingShipped
-	s.CacheHits += o.CacheHits
-	s.Coalesced += o.Coalesced
-	s.FanoutReads += o.FanoutReads
-	if o.MaxInFlight > s.MaxInFlight {
-		s.MaxInFlight = o.MaxInFlight
-	}
 }
 
 // Operator is one node of a query plan: a pull-based tuple stream in the

@@ -65,7 +65,7 @@ type ChainJoin struct {
 func (o *ChainJoin) Open(ctx context.Context) error {
 	values, st, err := o.Engine.ChainJoinConcurrentContext(ctx, o.Table, o.Keys, o.JoinCol, o.Limit)
 	o.src = sliceSource{ctx: ctx}
-	o.src.stats.addEngineOp(st)
+	o.src.stats.OpStats = st
 	if err != nil {
 		return ctxWrap(ctx, err)
 	}
@@ -87,30 +87,44 @@ func (o *ChainJoin) Close() error { return o.src.close() }
 func (o *ChainJoin) Stats() OpStats { return o.src.stats }
 
 // CacheSelect ships the whole selection to the single owner of (Table,
-// Key) — the paper's Figure 3 InvertedCache plan — and emits the tuples
-// whose TextCol contains every Filters substring (case-folded). The
-// round-trip happens during Open; Next streams the reply.
+// Key) — the paper's Figure 3 InvertedCache plan — and emits one
+// single-column tuple per distinct JoinCol value of the tuples whose
+// TextCol contains every Filters substring (case-folded), in reply order,
+// as ChainJoin emits its join values. The round-trip happens during Open;
+// Next streams the values.
 type CacheSelect struct {
 	Engine  *pier.Engine
 	Table   string
 	Key     pier.Value
 	Filters []string
 	TextCol string
+	JoinCol int // column index of the emitted join value
 	Limit   int // max tuples returned by the owner; 0 = unlimited
 
 	src sliceSource
 }
 
-// Open implements Operator.
+// Open implements Operator. A reply tuple without a JoinCol column fails
+// the Open: the owner is a peer, and its reply is checked, not trusted.
 func (o *CacheSelect) Open(ctx context.Context) error {
 	tuples, st, err := o.Engine.CacheSelectContext(ctx, o.Table, o.Key, o.Filters, o.TextCol, o.Limit)
 	o.src = sliceSource{ctx: ctx}
-	o.src.stats.addEngineOp(st)
+	o.src.stats.OpStats = st
 	if err != nil {
 		return ctxWrap(ctx, err)
 	}
+	seen := make(map[string]bool, len(tuples))
+	for _, t := range tuples {
+		if o.JoinCol < 0 || o.JoinCol >= len(t) {
+			return fmt.Errorf("plan: cache select: reply tuple has %d columns, join col is %d", len(t), o.JoinCol)
+		}
+		v := t[o.JoinCol]
+		if k := v.Key(); !seen[k] {
+			seen[k] = true
+			o.src.tuples = append(o.src.tuples, pier.Tuple{v})
+		}
+	}
 	o.src.open = true
-	o.src.tuples = tuples
 	return nil
 }
 
@@ -204,7 +218,7 @@ func (o *DHTFetch) fillBatch() error {
 	// sends only the misses to its pool, where identical concurrent
 	// fetches share one lookup. Without a tier every key is a miss.
 	fetched, cost := o.Engine.FetchCachedBatchContext(o.ctx, o.Table, keys)
-	o.stats.addEngineOp(cost) // carries no Tuples; Next counts emissions
+	o.stats.OpStats.Add(cost) // carries no Tuples; Next counts emissions
 	if err := o.ctx.Err(); err != nil {
 		return ctxWrap(o.ctx, err)
 	}
@@ -280,119 +294,3 @@ func (o *Limit) Stats() OpStats { return o.stats }
 
 // Inputs implements InputsOperator.
 func (o *Limit) Inputs() []Operator { return []Operator{o.Input} }
-
-// Project restricts each input tuple to Cols, in the given order.
-type Project struct {
-	Input Operator
-	Cols  []int
-
-	open  bool
-	stats OpStats
-}
-
-// Open implements Operator.
-func (o *Project) Open(ctx context.Context) error {
-	if err := o.Input.Open(ctx); err != nil {
-		return err
-	}
-	o.open = true
-	return nil
-}
-
-// Next implements Operator.
-func (o *Project) Next() (pier.Tuple, error) {
-	if !o.open {
-		return nil, ErrNotOpen
-	}
-	t, err := o.Input.Next()
-	if err != nil {
-		return nil, err
-	}
-	out := make(pier.Tuple, len(o.Cols))
-	for i, c := range o.Cols {
-		if c >= len(t) {
-			return nil, fmt.Errorf("plan: project: input tuple has %d columns, want col %d", len(t), c)
-		}
-		out[i] = t[c]
-	}
-	o.stats.Tuples++
-	return out, nil
-}
-
-// Close implements Operator.
-func (o *Project) Close() error {
-	o.open = false
-	return o.Input.Close()
-}
-
-// Stats implements Operator.
-func (o *Project) Stats() OpStats { return o.stats }
-
-// Inputs implements InputsOperator.
-func (o *Project) Inputs() []Operator { return []Operator{o.Input} }
-
-// Distinct suppresses duplicate tuples. With Cols set, only those columns
-// form the identity (the whole tuple otherwise); the first tuple of each
-// identity is emitted as-is.
-type Distinct struct {
-	Input Operator
-	Cols  []int
-
-	open  bool
-	seen  map[string]bool
-	stats OpStats
-}
-
-// Open implements Operator.
-func (o *Distinct) Open(ctx context.Context) error {
-	if err := o.Input.Open(ctx); err != nil {
-		return err
-	}
-	o.open = true
-	o.seen = make(map[string]bool)
-	return nil
-}
-
-// Next implements Operator.
-func (o *Distinct) Next() (pier.Tuple, error) {
-	if !o.open {
-		return nil, ErrNotOpen
-	}
-	for {
-		t, err := o.Input.Next()
-		if err != nil {
-			return nil, err
-		}
-		key := ""
-		if len(o.Cols) == 0 {
-			for _, v := range t {
-				key += v.Key() + "\x00"
-			}
-		} else {
-			for _, c := range o.Cols {
-				if c >= len(t) {
-					return nil, fmt.Errorf("plan: distinct: input tuple has %d columns, want col %d", len(t), c)
-				}
-				key += t[c].Key() + "\x00"
-			}
-		}
-		if !o.seen[key] {
-			o.seen[key] = true
-			o.stats.Tuples++
-			return t, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (o *Distinct) Close() error {
-	o.open = false
-	o.seen = nil
-	return o.Input.Close()
-}
-
-// Stats implements Operator.
-func (o *Distinct) Stats() OpStats { return o.stats }
-
-// Inputs implements InputsOperator.
-func (o *Distinct) Inputs() []Operator { return []Operator{o.Input} }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"piersearch/internal/codec"
 	"piersearch/internal/dht"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
@@ -74,7 +76,7 @@ func drainAll(t *testing.T, op plan.Operator) []pier.Tuple {
 
 func TestOperatorContract(t *testing.T) {
 	src := &sliceOp{tuples: intRows(1, 2)}
-	op := &plan.Distinct{Input: src}
+	op := &plan.Limit{Input: src}
 
 	// Next before Open.
 	if _, err := op.Next(); !errors.Is(err, plan.ErrNotOpen) {
@@ -106,24 +108,15 @@ func TestOperatorContract(t *testing.T) {
 	}
 }
 
-func TestFilterLimitProjectDistinct(t *testing.T) {
+func TestLimitStopsUpstreamPulls(t *testing.T) {
 	src := &sliceOp{tuples: intRows(2, 2, 4, 4, 6, 8)}
-	tree := &plan.Limit{
-		N: 2,
-		Input: &plan.Project{
-			Cols:  []int{1},
-			Input: &plan.Distinct{Input: src},
-		},
-	}
+	tree := &plan.Limit{N: 2, Input: src}
 	out := drainAll(t, tree)
-	if len(out) != 2 || out[0][0].Text() != "row-2" || out[1][0].Text() != "row-4" {
+	if len(out) != 2 || out[0][1].Text() != "row-2" || out[1][1].Text() != "row-2" {
 		t.Fatalf("tree output = %#v", out)
 	}
-	if len(out[0]) != 1 {
-		t.Errorf("project kept %d cols", len(out[0]))
-	}
-	// Limit stopped pulling: source never reached row 6.
-	if src.stats.Tuples >= len(src.tuples) {
+	// Limit stopped pulling: the source emitted exactly N tuples.
+	if src.stats.Tuples != 2 {
 		t.Errorf("limit did not stop upstream pulls: source emitted %d", src.stats.Tuples)
 	}
 	if src.closes != 1 {
@@ -132,8 +125,8 @@ func TestFilterLimitProjectDistinct(t *testing.T) {
 	// Walk sees the whole tree.
 	n := 0
 	plan.Walk(tree, func(plan.Operator) { n++ })
-	if n != 4 {
-		t.Errorf("Walk visited %d operators, want 4", n)
+	if n != 2 {
+		t.Errorf("Walk visited %d operators, want 2", n)
 	}
 }
 
@@ -267,6 +260,84 @@ func TestPlannerStrategiesAgree(t *testing.T) {
 	matchBytes := plan.TotalStats(compiled.Match).Bytes
 	if matchBytes <= 0 || matchBytes >= total.Bytes {
 		t.Errorf("match bytes %d not within total %d", matchBytes, total.Bytes)
+	}
+}
+
+// TestCacheSelectEmitsEachJoinValueOnce pins the cache plan's match
+// operator: an owner reply that repeats a fileID (two InvertedCache
+// postings of one fileID under different names) yields that fileID once,
+// in reply order.
+func TestCacheSelectEmitsEachJoinValueOnce(t *testing.T) {
+	env := newClusterEnv(t, 8)
+	ctx := context.Background()
+	dup := pier.Bytes([]byte("fileid-dup-0000000000"))
+	for _, tp := range []pier.Tuple{
+		{pier.String("gamma"), dup, pier.String("gamma delta one.mp3")},
+		{pier.String("gamma"), pier.Bytes([]byte("fileid-solo-000000000")), pier.String("gamma delta solo.mp3")},
+		{pier.String("gamma"), dup, pier.String("gamma delta two.mp3")},
+	} {
+		if _, err := env.engines[1].PublishContext(ctx, piersearch.TableInvertedCache, tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tuples, _, err := env.engines[2].CacheSelectContext(ctx, piersearch.TableInvertedCache, pier.String("gamma"), []string{"delta"}, "fulltext", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tuples) != 3 {
+		t.Fatalf("fixture: owner replied %d tuples, want 3 (one fileID twice)", len(tuples))
+	}
+
+	catalog := piersearch.Catalog()
+	catalog.ItemTable = ""
+	planner := plan.Planner{Engine: env.engines[2], Catalog: catalog}
+	compiled, err := planner.Plan(plan.Query{Terms: []string{"gamma", "delta"}, Strategy: plan.StrategyCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := compiled.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, tp := range out {
+		if len(tp) != 1 {
+			t.Fatalf("match emitted a %d-column tuple, want the join column alone", len(tp))
+		}
+		if seen[tp[0].Key()] {
+			t.Fatalf("fileID %q emitted twice", tp[0].Key())
+		}
+		seen[tp[0].Key()] = true
+	}
+	if len(out) != 2 || out[0][0].Key() != tuples[0][1].Key() {
+		t.Errorf("match emitted %d fileIDs (first %v), want 2 in reply order", len(out), out)
+	}
+	if got := compiled.Match.Stats().Tuples; got != 2 {
+		t.Errorf("match tuples = %d, want 2", got)
+	}
+}
+
+// TestCacheSelectRejectsNarrowReply pins that a peer's reply tuple with
+// no join column fails the query with an error rather than a panic. Every
+// node's cache handler is replaced by one that answers a one-column tuple.
+func TestCacheSelectRejectsNarrowReply(t *testing.T) {
+	env := newClusterEnv(t, 8)
+	// pier's cache reply frame: format version 2, an empty error string,
+	// the tuple count, then each tuple's encoding as a byte string.
+	frame := codec.AppendString([]byte{2}, "")
+	frame = codec.AppendUvarint(frame, 1)
+	frame = codec.AppendBytes(frame, pier.Tuple{pier.String("alpha")}.Encode(nil))
+	for _, e := range env.engines {
+		e.Node().RegisterApp("pier.cache", func(dht.NodeInfo, []byte) []byte { return frame })
+	}
+	planner := plan.Planner{Engine: env.engines[0], Catalog: piersearch.Catalog()}
+	compiled, err := planner.Plan(plan.Query{Terms: []string{"alpha", "beta"}, Strategy: plan.StrategyCache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = compiled.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "reply tuple has 1 columns, join col is 1") {
+		t.Fatalf("narrow reply: err = %v, want the column-count error", err)
 	}
 }
 

@@ -93,7 +93,7 @@ type CompiledPlan struct {
 //
 // StrategyCache:
 //
-//	Limit → DHTFetch(ItemTable) → Distinct → Project(JoinCol) → CacheSelect(CacheTable)
+//	Limit → DHTFetch(ItemTable) → CacheSelect(CacheTable)
 //
 // The match-phase operator also carries the limit, so candidate shipping
 // stops at Limit survivors; the root Limit only caps the fetched items.
@@ -143,18 +143,14 @@ func (p *Planner) Plan(q Query) (*CompiledPlan, error) {
 		if joinIdx < 0 {
 			return nil, fmt.Errorf("%w: %s.%s", pier.ErrNoSuchColumn, p.Catalog.CacheTable, p.Catalog.JoinCol)
 		}
-		match = &Distinct{
-			Input: &Project{
-				Input: &CacheSelect{
-					Engine:  p.Engine,
-					Table:   p.Catalog.CacheTable,
-					Key:     pier.String(q.Terms[0]),
-					Filters: q.Terms[1:],
-					TextCol: p.Catalog.TextCol,
-					Limit:   q.Limit,
-				},
-				Cols: []int{joinIdx},
-			},
+		match = &CacheSelect{
+			Engine:  p.Engine,
+			Table:   p.Catalog.CacheTable,
+			Key:     pier.String(q.Terms[0]),
+			Filters: q.Terms[1:],
+			TextCol: p.Catalog.TextCol,
+			JoinCol: joinIdx,
+			Limit:   q.Limit,
 		}
 
 	default:

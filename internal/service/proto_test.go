@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"piersearch/internal/codec"
+	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
 )
 
@@ -98,8 +99,8 @@ func TestEncodeBatchShipsTheCarriedID(t *testing.T) {
 func TestDoneErrorPublishRoundTrip(t *testing.T) {
 	d := Done{
 		Stats: piersearch.SearchStats{
-			Strategy: piersearch.StrategyJoin, Keywords: 3, Matches: 12, Messages: 40,
-			Bytes: 20_000, Hops: 14, PostingShipped: 57, MatchBytes: 850, MaxInFlight: 8,
+			OpStats:  pier.OpStats{Messages: 40, Bytes: 20_000, Hops: 14, PostingShipped: 57, MaxInFlight: 8},
+			Strategy: piersearch.StrategyJoin, Keywords: 3, Matches: 12, MatchBytes: 850,
 			Wall: 1500 * time.Millisecond,
 		},
 		Explain: "Limit(n=50) [tuples=12]",
