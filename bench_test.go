@@ -23,7 +23,6 @@ import (
 	"piersearch/internal/dht"
 	"piersearch/internal/experiments"
 	"piersearch/internal/gnutella"
-	"piersearch/internal/metrics"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
 )
@@ -54,7 +53,7 @@ func studyEnv(b *testing.B) *experiments.StudyEnv {
 // replication factor).
 func BenchmarkFigure4(b *testing.B) {
 	e := studyEnv(b)
-	var s metrics.Series
+	var s experiments.Series
 	for i := 0; i < b.N; i++ {
 		s = experiments.Figure4(e)
 	}
@@ -67,7 +66,7 @@ func BenchmarkFigure4(b *testing.B) {
 // Union-of-30).
 func BenchmarkFigure5(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure5(e)
 	}
@@ -79,7 +78,7 @@ func BenchmarkFigure5(b *testing.B) {
 // vantage unions).
 func BenchmarkFigure6(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure6(e)
 	}
@@ -106,7 +105,7 @@ func BenchmarkGnutellaAggregates(b *testing.B) {
 // latency; paper: ~73 s for single-result queries, ~6 s beyond 150).
 func BenchmarkFigure7(b *testing.B) {
 	e := studyEnv(b)
-	var s metrics.Series
+	var s experiments.Series
 	for i := 0; i < b.N; i++ {
 		s = experiments.Figure7(e)
 	}
@@ -119,7 +118,7 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 regenerates Figure 8 (flooding messages vs ultrapeers
 // visited, diminishing returns).
 func BenchmarkFigure8(b *testing.B) {
-	var s metrics.Series
+	var s experiments.Series
 	var err error
 	for i := 0; i < b.N; i++ {
 		s, err = experiments.Figure8(experiments.Figure8Config{Ultrapeers: 20000, Sources: 3, Seed: 1})
@@ -136,7 +135,7 @@ func BenchmarkFigure8(b *testing.B) {
 // threshold, Equation 2).
 func BenchmarkFigure9(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure9(e)
 	}
@@ -147,7 +146,7 @@ func BenchmarkFigure9(b *testing.B) {
 // threshold; paper anchor: 23% at threshold 1).
 func BenchmarkFigure10(b *testing.B) {
 	e := studyEnv(b)
-	var s metrics.Series
+	var s experiments.Series
 	for i := 0; i < b.N; i++ {
 		s = experiments.Figure10(e)
 	}
@@ -158,7 +157,7 @@ func BenchmarkFigure10(b *testing.B) {
 // threshold; paper: 47/52/61% at threshold 1).
 func BenchmarkFigure11(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure11(e)
 	}
@@ -171,7 +170,7 @@ func BenchmarkFigure11(b *testing.B) {
 // threshold; paper: ~93% at threshold 2, horizon 15%).
 func BenchmarkFigure12(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure12(e)
 	}
@@ -182,7 +181,7 @@ func BenchmarkFigure12(b *testing.B) {
 // publishing budget, horizon 5%).
 func BenchmarkFigure13(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure13(e)
 	}
@@ -199,7 +198,7 @@ func BenchmarkFigure13(b *testing.B) {
 // BenchmarkFigure14 regenerates Figure 14 (schemes on average QDR).
 func BenchmarkFigure14(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure14(e)
 	}
@@ -209,7 +208,7 @@ func BenchmarkFigure14(b *testing.B) {
 // BenchmarkFigure15 regenerates Figure 15 (SAM sampling sweep).
 func BenchmarkFigure15(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.Figure15(e)
 	}
@@ -318,7 +317,7 @@ func BenchmarkDeployZeroResult(b *testing.B) {
 // recall vs per-query load for deep flooding vs the hybrid.
 func BenchmarkExtensionHorizonLoad(b *testing.B) {
 	e := studyEnv(b)
-	var series []metrics.Series
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
 		series = experiments.ExtensionHorizonLoad(e)
 	}
@@ -333,7 +332,7 @@ func BenchmarkExtensionHorizonLoad(b *testing.B) {
 // BenchmarkExtensionCostRecall sweeps the Eq. 3-5 cost model.
 func BenchmarkExtensionCostRecall(b *testing.B) {
 	e := studyEnv(b)
-	var s metrics.Series
+	var s experiments.Series
 	for i := 0; i < b.N; i++ {
 		s = experiments.ExtensionCostRecall(e, 5)
 	}

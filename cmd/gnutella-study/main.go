@@ -15,7 +15,6 @@ import (
 	"log"
 
 	"piersearch/internal/experiments"
-	"piersearch/internal/metrics"
 )
 
 func main() {
@@ -40,13 +39,13 @@ func main() {
 
 	fmt.Println("== Figure 4: result-set size vs average replication factor ==")
 	f4 := experiments.Figure4(env)
-	fmt.Println(metrics.Table("avg-replication", metrics.Series{Name: "results-size", Points: f4.Points}))
+	fmt.Println(experiments.Table("avg-replication", experiments.Series{Name: "results-size", Points: f4.Points}))
 
 	fmt.Println("== Figure 5: result-size CDF (% of queries with <= X results) ==")
-	fmt.Println(metrics.Table("results", experiments.Figure5(env)...))
+	fmt.Println(experiments.Table("results", experiments.Figure5(env)...))
 
 	fmt.Println("== Figure 6: result-size CDF, <= 20 results, growing unions ==")
-	fmt.Println(metrics.Table("results", experiments.Figure6(env)...))
+	fmt.Println(experiments.Table("results", experiments.Figure6(env)...))
 
 	a := experiments.Aggregates(env)
 	fmt.Println("== §4.2 aggregates (paper: 41% / 18% single; 27% / 6% union; >=66% reduction) ==")
@@ -56,12 +55,12 @@ func main() {
 
 	fmt.Println("== Figure 7: result-set size vs first-result latency (seconds) ==")
 	f7 := experiments.Figure7(env)
-	fmt.Println(metrics.Table("results-size", metrics.Series{Name: "first-result (s)", Points: f7.Points}))
+	fmt.Println(experiments.Table("results-size", experiments.Series{Name: "first-result (s)", Points: f7.Points}))
 
 	fmt.Println("== Figure 8: flooding overhead (messages vs ultrapeers visited) ==")
 	f8, err := experiments.Figure8(experiments.Figure8Config{Ultrapeers: *fig8UPs, Seed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(metrics.Table("messages (k)", f8))
+	fmt.Println(experiments.Table("messages (k)", f8))
 }

@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"piersearch/internal/experiments"
-	"piersearch/internal/metrics"
 )
 
 func main() {
@@ -31,17 +30,17 @@ func main() {
 		env.Trace.Cfg.Hosts, env.Trace.TotalInstances(), len(env.Trace.Files), len(env.Trace.Queries))
 
 	fmt.Println("== Figure 9: PF-threshold vs replica threshold (Equation 2) ==")
-	fmt.Println(metrics.Table("threshold", experiments.Figure9(env)...))
+	fmt.Println(experiments.Table("threshold", experiments.Figure9(env)...))
 
 	fmt.Println("== Figure 10: publishing overhead (% items) vs replica threshold ==")
 	fmt.Println("   (paper anchor: threshold 1 publishes 23% of items)")
-	fmt.Println(metrics.Table("threshold", experiments.Figure10(env)))
+	fmt.Println(experiments.Table("threshold", experiments.Figure10(env)))
 
 	fmt.Println("== Figure 11: average query recall (QR) vs replica threshold ==")
 	fmt.Println("   (paper: threshold 1 -> 47/52/61%; threshold 2 -> >64%)")
-	fmt.Println(metrics.Table("threshold", experiments.Figure11(env)...))
+	fmt.Println(experiments.Table("threshold", experiments.Figure11(env)...))
 
 	fmt.Println("== Figure 12: average query distinct recall (QDR) vs replica threshold ==")
 	fmt.Println("   (paper: thresholds 1-2 at horizon 15% -> QR 68%, QDR 93%)")
-	fmt.Println(metrics.Table("threshold", experiments.Figure12(env)...))
+	fmt.Println(experiments.Table("threshold", experiments.Figure12(env)...))
 }

@@ -57,6 +57,7 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -120,7 +121,13 @@ func run() int {
 		return 2
 	}
 
-	logger := telemetry.NewTextLogger(os.Stderr, telemetry.ParseLevel(*logLevel))
+	var level slog.Level
+	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {
+		fmt.Fprintf(os.Stderr, "piersearch: unknown -log-level %q (want debug, info, warn or error)\n", *logLevel)
+		flag.Usage()
+		return 2
+	}
+	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	// One context for the whole process: the first SIGINT/SIGTERM cancels
 	// in-flight queries and unblocks the daemon wait so the deferred
@@ -168,7 +175,7 @@ type clientConfig struct {
 	publishes    publishList
 	stdinPublish bool
 	trace        bool
-	logger       *telemetry.Logger
+	logger       *slog.Logger
 }
 
 // runClient is the thin half of the client/daemon split: it talks the
@@ -234,7 +241,7 @@ func runClient(ctx context.Context, cc clientConfig) int {
 
 // printResults streams a result set to stdout, then its cost line and —
 // when tracing — the assembled distributed trace tree.
-func printResults(rs *piersearch.ResultStream, query string, strat piersearch.Strategy, trace bool, logger *telemetry.Logger) int {
+func printResults(rs *piersearch.ResultStream, query string, strat piersearch.Strategy, trace bool, logger *slog.Logger) int {
 	n := 0
 	for {
 		r, err := rs.Next()
@@ -278,7 +285,7 @@ type daemonConfig struct {
 
 	debugAddr string
 	trace     bool
-	logger    *telemetry.Logger
+	logger    *slog.Logger
 }
 
 func runDaemon(ctx context.Context, dc daemonConfig) int {

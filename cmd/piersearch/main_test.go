@@ -56,3 +56,24 @@ func TestUnknownStrategyIsUsageError(t *testing.T) {
 		t.Errorf("a node started despite the usage error:\n%s", out)
 	}
 }
+
+// TestUnknownLogLevelIsUsageError runs the daemon with a -log-level slog
+// does not know: it must exit with the usage status before starting a
+// node, not fall back to info.
+func TestUnknownLogLevelIsUsageError(t *testing.T) {
+	for _, bad := range []string{"bogus", "warning"} {
+		cmd := exec.Command(os.Args[0], "-listen", "127.0.0.1:0", "-log-level", bad)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-log-level %s: exit = %v, want status 2; output:\n%s", bad, err, out)
+		}
+		if !strings.Contains(string(out), `unknown -log-level "`+bad+`"`) {
+			t.Errorf("output does not name the bad level:\n%s", out)
+		}
+		if strings.Contains(string(out), "node listening") {
+			t.Errorf("a node started despite the usage error:\n%s", out)
+		}
+	}
+}

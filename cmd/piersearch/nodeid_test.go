@@ -2,13 +2,23 @@ package main
 
 import (
 	"context"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"piersearch/internal/telemetry"
 )
+
+// recordHandler is a slog.Handler that hands every record to fn.
+type recordHandler func(slog.Record)
+
+func (h recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h(r)
+	return nil
+}
+func (h recordHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h recordHandler) WithGroup(string) slog.Handler      { return h }
 
 // runDiskDaemon runs the daemon once over the disk store in dir, without
 // -daemon, so it returns and closes its sockets. It returns the exit
@@ -17,18 +27,19 @@ func runDiskDaemon(t *testing.T, dir string) (int, string) {
 	t.Helper()
 	var mu sync.Mutex
 	id := ""
-	logger := telemetry.NewLogger(telemetry.SinkFunc(func(e telemetry.Event) {
-		if e.Msg != "node listening" {
+	logger := slog.New(recordHandler(func(r slog.Record) {
+		if r.Message != "node listening" {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		for i, k := range e.Keys {
-			if k == "id" {
-				id = e.Vals[i]
+		r.Attrs(func(a slog.Attr) bool {
+			if a.Key == "id" {
+				id = a.Value.String()
 			}
-		}
-	}), telemetry.LevelInfo)
+			return true
+		})
+	}))
 	code := runDaemon(context.Background(), daemonConfig{
 		listen: "127.0.0.1:0", storeKind: "disk", dataDir: dir, logger: logger,
 	})

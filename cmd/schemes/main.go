@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"piersearch/internal/experiments"
-	"piersearch/internal/metrics"
 )
 
 func main() {
@@ -30,13 +29,13 @@ func main() {
 		len(env.Trace.Files), env.Trace.TotalInstances(), len(env.Trace.Queries))
 
 	fmt.Println("== Figure 13: average query recall vs publishing budget (% items) ==")
-	fmt.Println(metrics.Table("budget %", experiments.Figure13(env)...))
+	fmt.Println(experiments.Table("budget %", experiments.Figure13(env)...))
 
 	fmt.Println("== Figure 14: average query distinct recall vs publishing budget ==")
-	fmt.Println(metrics.Table("budget %", experiments.Figure14(env)...))
+	fmt.Println(experiments.Table("budget %", experiments.Figure14(env)...))
 
 	fmt.Println("== Figure 15: SAM sampling fractions vs Random ==")
-	fmt.Println(metrics.Table("budget %", experiments.Figure15(env)...))
+	fmt.Println(experiments.Table("budget %", experiments.Figure15(env)...))
 
 	fmt.Println("== Extension: TF with Bloom-encoded term sets (§6.3 suggestion) ==")
 	fmt.Printf("%-22s %12s %10s %8s\n", "scheme", "filter bytes", "fp rate", "avg QR")
@@ -51,8 +50,8 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("== Extension: recall vs system load (§4.3 future work) ==")
-	fmt.Println(metrics.Table("load (k msgs/query)", experiments.ExtensionHorizonLoad(env)...))
+	fmt.Println(experiments.Table("load (k msgs/query)", experiments.ExtensionHorizonLoad(env)...))
 
 	fmt.Println("== Extension: Eq. 3-5 cost model, QDR vs total cost/query ==")
-	fmt.Println(metrics.Table("cost (k msgs/query)", experiments.ExtensionCostRecall(env, 5)))
+	fmt.Println(experiments.Table("cost (k msgs/query)", experiments.ExtensionCostRecall(env, 5)))
 }

@@ -1,14 +1,25 @@
 package dht
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"piersearch/internal/telemetry"
 )
+
+// recordHandler is a slog.Handler that hands every record to fn.
+type recordHandler func(slog.Record)
+
+func (h recordHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h recordHandler) Handle(_ context.Context, r slog.Record) error {
+	h(r)
+	return nil
+}
+func (h recordHandler) WithAttrs([]slog.Attr) slog.Handler { return h }
+func (h recordHandler) WithGroup(string) slog.Handler      { return h }
 
 // TestJanitorReclaimsExpired pins the background soft-state sweep: TTL'd
 // values must disappear from the store without any Get touching their
@@ -91,7 +102,7 @@ func TestJanitorStatsExposeReclaimCount(t *testing.T) {
 	cfg := Config{
 		TTL:    time.Second,
 		Clock:  func() time.Duration { return time.Duration(now.Load()) },
-		Logger: telemetry.NewLogger(telemetry.SinkFunc(func(telemetry.Event) { logged.Add(1) }), telemetry.LevelDebug),
+		Logger: slog.New(recordHandler(func(slog.Record) { logged.Add(1) })),
 	}
 	net := NewLocalNetwork(1)
 	node := NewNode(NodeInfo{ID: StringID("n"), Addr: "a"}, net, cfg)

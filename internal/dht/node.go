@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	mrand "math/rand"
 	"sort"
 	"strconv"
@@ -55,7 +56,7 @@ type Config struct {
 
 	// Logger receives structured operational events (janitor sweep reclaim
 	// counts). Nil discards them.
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 
 	// Tracer, when set, records this node's side of distributed query
 	// traces: one span per RPC issued and served, per-hop lookup probe
@@ -92,6 +93,9 @@ func (c Config) Normalize() Config {
 	}
 	if c.Go == nil {
 		c.Go = func(fn func()) { go fn() }
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
 }

@@ -14,7 +14,6 @@ package experiments
 import (
 	"piersearch/internal/gnutella"
 	"piersearch/internal/hybrid"
-	"piersearch/internal/metrics"
 	"piersearch/internal/model"
 )
 
@@ -44,12 +43,12 @@ func (e *StudyEnv) loadAt(frac float64) float64 {
 // its amortised publishing load added. The hybrid's point sits far above
 // the flooding curve at the same load — the paper's §4.3 argument made
 // quantitative.
-func ExtensionHorizonLoad(env *StudyEnv) []metrics.Series {
+func ExtensionHorizonLoad(env *StudyEnv) []Series {
 	replicas := env.Replicas()
 	n := env.Trace.Cfg.Hosts
 	none := make([]bool, len(replicas))
 
-	flood := metrics.Series{Name: "flooding only"}
+	flood := Series{Name: "flooding only"}
 	for _, pct := range []float64{0.025, 0.05, 0.10, 0.15, 0.20, 0.30, 0.50} {
 		qdr := model.AvgQueryDistinctRecall(env.Matching, replicas, none, n, int(pct*float64(n)))
 		flood.Add(env.loadAt(pct)/1000, qdr)
@@ -72,22 +71,22 @@ func ExtensionHorizonLoad(env *StudyEnv) []metrics.Series {
 	}
 	perQueryPublish := publishMsgs / (lifetimeWorkloadFactor * float64(len(env.Trace.Queries)))
 	qdr := model.AvgQueryDistinctRecall(env.Matching, replicas, published, n, n/20)
-	hybridSeries := metrics.Series{Name: "hybrid (5% + thr 2)"}
+	hybridSeries := Series{Name: "hybrid (5% + thr 2)"}
 	hybridSeries.Add((env.loadAt(0.05)+perQueryPublish)/1000, qdr)
-	return []metrics.Series{flood, hybridSeries}
+	return []Series{flood, hybridSeries}
 }
 
 // ExtensionCostRecall sweeps the replica threshold and reports, per
 // threshold, the total Eq. 4 cost per query (messages: flood + DHT
 // re-query for misses + amortised publishing) against the QDR it buys.
-func ExtensionCostRecall(env *StudyEnv, horizonPct int) metrics.Series {
+func ExtensionCostRecall(env *StudyEnv, horizonPct int) Series {
 	replicas := env.Replicas()
 	n := env.Trace.Cfg.Hosts
 	horizon := n * horizonPct / 100
 	dhtCost := model.DHTSearchCost(n)
 	queries := float64(len(env.Trace.Queries))
 
-	out := metrics.Series{Name: "QDR vs cost/query (thr 0..10)"}
+	out := Series{Name: "QDR vs cost/query (thr 0..10)"}
 	for thr := 0; thr <= 10; thr++ {
 		published := model.PublishUpToThreshold(replicas, thr)
 		qdr := model.AvgQueryDistinctRecall(env.Matching, replicas, published, n, horizon)

@@ -4,12 +4,11 @@ import (
 	"time"
 
 	"piersearch/internal/gnutella"
-	"piersearch/internal/metrics"
 )
 
 // Figure4 correlates query result-set size with the average replication
 // factor of the files in the result set (single-vantage floods).
-func Figure4(env *StudyEnv) metrics.Series {
+func Figure4(env *StudyEnv) Series {
 	covered := env.reachHosts(env.vantageReach(env.Vantages[0]))
 	var sizes, avgRep []float64
 	for qi := range env.Trace.Queries {
@@ -38,9 +37,9 @@ func Figure4(env *StudyEnv) metrics.Series {
 		avgRep = append(avgRep, sum/float64(n))
 	}
 	// Bucket by result size (log-ish edges), report (avg replication, size).
-	s := metrics.BucketMeans(sizes, avgRep, []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000})
+	s := BucketMeans(sizes, avgRep, []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000})
 	// The paper plots results size on Y and replication on X; swap.
-	out := metrics.Series{Name: "results-size vs avg-replication"}
+	out := Series{Name: "results-size vs avg-replication"}
 	for _, p := range s.Points {
 		out.Add(p.Y, p.X)
 	}
@@ -68,24 +67,24 @@ func (e *StudyEnv) resultSizes(union int) []float64 {
 var cdfThresholds = []float64{0, 1, 2, 3, 5, 7, 10, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
 // Figure5 is the result-size CDF for single-node results and Union-of-30.
-func Figure5(env *StudyEnv) []metrics.Series {
-	one := metrics.CDF(env.resultSizes(1), cdfThresholds)
+func Figure5(env *StudyEnv) []Series {
+	one := CDF(env.resultSizes(1), cdfThresholds)
 	one.Name = "Results (1 node)"
-	all := metrics.CDF(env.resultSizes(len(env.Vantages)), cdfThresholds)
+	all := CDF(env.resultSizes(len(env.Vantages)), cdfThresholds)
 	all.Name = "Union-of-30"
-	return []metrics.Series{one, all}
+	return []Series{one, all}
 }
 
 // Figure6 is the result-size CDF restricted to <= 20 results for unions of
 // 1, 5, 15, 25 and 30 vantage points.
-func Figure6(env *StudyEnv) []metrics.Series {
+func Figure6(env *StudyEnv) []Series {
 	small := []float64{0, 1, 2, 3, 4, 5, 7, 10, 12, 15, 20}
-	var out []metrics.Series
+	var out []Series
 	for _, n := range []int{1, 5, 15, 25, 30} {
 		if n > len(env.Vantages) {
 			n = len(env.Vantages)
 		}
-		s := metrics.CDF(env.resultSizes(n), small)
+		s := CDF(env.resultSizes(n), small)
 		if n == 1 {
 			s.Name = "Results (1 node)"
 		} else {
@@ -110,10 +109,10 @@ func Aggregates(env *StudyEnv) GnutellaAggregates {
 	single := env.resultSizes(1)
 	union := env.resultSizes(len(env.Vantages))
 	a := GnutellaAggregates{
-		PctAtMost10Single: 100 * metrics.FracAtMost(single, 10),
-		PctZeroSingle:     100 * metrics.FracAtMost(single, 0),
-		PctAtMost10Union:  100 * metrics.FracAtMost(union, 10),
-		PctZeroUnion:      100 * metrics.FracAtMost(union, 0),
+		PctAtMost10Single: 100 * FracAtMost(single, 10),
+		PctZeroSingle:     100 * FracAtMost(single, 0),
+		PctAtMost10Union:  100 * FracAtMost(union, 10),
+		PctZeroUnion:      100 * FracAtMost(union, 0),
 	}
 	if a.PctZeroSingle > 0 {
 		a.ZeroReductionPct = 100 * (a.PctZeroSingle - a.PctZeroUnion) / a.PctZeroSingle
@@ -125,7 +124,7 @@ func Aggregates(env *StudyEnv) GnutellaAggregates {
 // under the dynamic-querying latency model: a query first flooded with
 // TTL 1 is re-flooded one hop deeper after each RoundWait until the
 // nearest matching host's depth is inside the horizon.
-func Figure7(env *StudyEnv) metrics.Series {
+func Figure7(env *StudyEnv) Series {
 	covered := env.reachHosts(env.vantageReach(env.Vantages[0]))
 	hop := func() time.Duration {
 		spread := env.Cfg.HopDelayMax - env.Cfg.HopDelayMin
@@ -155,7 +154,7 @@ func Figure7(env *StudyEnv) metrics.Series {
 		sizes = append(sizes, float64(instances))
 		lats = append(lats, lat.Seconds())
 	}
-	return metrics.BucketMeans(sizes, lats, []float64{1, 2, 5, 10, 20, 50, 100, 150, 200, 500})
+	return BucketMeans(sizes, lats, []float64{1, 2, 5, 10, 20, 50, 100, 150, 200, 500})
 }
 
 // Figure8Config sizes the flooding-overhead experiment. The paper analyses
@@ -169,7 +168,7 @@ type Figure8Config struct {
 
 // Figure8 computes ultrapeers visited vs messages sent as the flooding
 // horizon grows, averaged over several source ultrapeers.
-func Figure8(cfg Figure8Config) (metrics.Series, error) {
+func Figure8(cfg Figure8Config) (Series, error) {
 	if cfg.Ultrapeers <= 0 {
 		cfg.Ultrapeers = 20000
 	}
@@ -186,7 +185,7 @@ func Figure8(cfg Figure8Config) (metrics.Series, error) {
 		Seed:          cfg.Seed,
 	})
 	if err != nil {
-		return metrics.Series{}, err
+		return Series{}, err
 	}
 	totalMsgs := make([]float64, cfg.MaxTTL)
 	totalVisited := make([]float64, cfg.MaxTTL)
@@ -197,7 +196,7 @@ func Figure8(cfg Figure8Config) (metrics.Series, error) {
 			totalVisited[c.TTL-1] += float64(c.Visited)
 		}
 	}
-	out := metrics.Series{Name: "ultrapeers visited"}
+	out := Series{Name: "ultrapeers visited"}
 	for i := range totalMsgs {
 		out.Add(totalMsgs[i]/float64(cfg.Sources)/1000, totalVisited[i]/float64(cfg.Sources))
 	}

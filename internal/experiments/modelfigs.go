@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"piersearch/internal/hybrid"
-	"piersearch/internal/metrics"
 	"piersearch/internal/model"
 )
 
@@ -11,11 +10,11 @@ var horizonPercents = []int{5, 15, 30}
 
 // Figure9 plots the lower-bound find probability PF-threshold against the
 // replica threshold for each horizon percentage (Equation 2).
-func Figure9(env *StudyEnv) []metrics.Series {
+func Figure9(env *StudyEnv) []Series {
 	n := env.Trace.Cfg.Hosts
-	var out []metrics.Series
+	var out []Series
 	for _, hp := range horizonPercents {
-		s := metrics.Series{Name: "Horizon Percent=" + itoa(hp) + "%"}
+		s := Series{Name: "Horizon Percent=" + itoa(hp) + "%"}
 		horizon := n * hp / 100
 		for thr := 0; thr <= 20; thr++ {
 			s.Add(float64(thr), model.PFThreshold(thr, n, horizon))
@@ -27,9 +26,9 @@ func Figure9(env *StudyEnv) []metrics.Series {
 
 // Figure10 plots the publishing overhead (% of file instances published)
 // against the replica threshold under complete knowledge.
-func Figure10(env *StudyEnv) metrics.Series {
+func Figure10(env *StudyEnv) Series {
 	replicas := env.Replicas()
-	s := metrics.Series{Name: "publishing overhead (% items)"}
+	s := Series{Name: "publishing overhead (% items)"}
 	for thr := 0; thr <= 20; thr++ {
 		pub := model.PublishUpToThreshold(replicas, thr)
 		s.Add(float64(thr), 100*model.PublishedInstanceFrac(replicas, pub))
@@ -39,11 +38,11 @@ func Figure10(env *StudyEnv) metrics.Series {
 
 // Figure11 plots average Query Recall against the replica threshold for
 // each horizon percentage, with complete-knowledge publishing.
-func Figure11(env *StudyEnv) []metrics.Series {
+func Figure11(env *StudyEnv) []Series {
 	replicas := env.Replicas()
-	var out []metrics.Series
+	var out []Series
 	for _, hp := range horizonPercents {
-		s := metrics.Series{Name: "Horizon Percent=" + itoa(hp) + "%"}
+		s := Series{Name: "Horizon Percent=" + itoa(hp) + "%"}
 		for thr := 0; thr <= 10; thr++ {
 			pub := model.PublishUpToThreshold(replicas, thr)
 			s.Add(float64(thr), model.AvgQueryRecall(env.Matching, replicas, pub, float64(hp)/100))
@@ -55,12 +54,12 @@ func Figure11(env *StudyEnv) []metrics.Series {
 
 // Figure12 plots average Query Distinct Recall against the replica
 // threshold for each horizon percentage.
-func Figure12(env *StudyEnv) []metrics.Series {
+func Figure12(env *StudyEnv) []Series {
 	replicas := env.Replicas()
 	n := env.Trace.Cfg.Hosts
-	var out []metrics.Series
+	var out []Series
 	for _, hp := range horizonPercents {
-		s := metrics.Series{Name: "Horizon Percent=" + itoa(hp) + "%"}
+		s := Series{Name: "Horizon Percent=" + itoa(hp) + "%"}
 		horizon := n * hp / 100
 		for thr := 0; thr <= 10; thr++ {
 			pub := model.PublishUpToThreshold(replicas, thr)
@@ -88,13 +87,13 @@ func schemeSet(env *StudyEnv) []hybrid.Scheme {
 }
 
 // sweepSchemes evaluates recall-vs-budget for a set of schemes.
-func sweepSchemes(env *StudyEnv, schemes []hybrid.Scheme, distinct bool, horizonPct int) []metrics.Series {
+func sweepSchemes(env *StudyEnv, schemes []hybrid.Scheme, distinct bool, horizonPct int) []Series {
 	replicas := env.Replicas()
 	n := env.Trace.Cfg.Hosts
 	horizon := n * horizonPct / 100
-	var out []metrics.Series
+	var out []Series
 	for _, sch := range schemes {
-		s := metrics.Series{Name: sch.Name()}
+		s := Series{Name: sch.Name()}
 		for _, b := range budgets {
 			pub := hybrid.SelectBudget(sch, replicas, b, env.Cfg.Seed+21)
 			var y float64
@@ -112,18 +111,18 @@ func sweepSchemes(env *StudyEnv, schemes []hybrid.Scheme, distinct bool, horizon
 
 // Figure13 compares the rare-item schemes on average Query Recall as a
 // function of the publishing budget (horizon 5%).
-func Figure13(env *StudyEnv) []metrics.Series {
+func Figure13(env *StudyEnv) []Series {
 	return sweepSchemes(env, schemeSet(env), false, 5)
 }
 
 // Figure14 is Figure13 with the Query Distinct Recall metric.
-func Figure14(env *StudyEnv) []metrics.Series {
+func Figure14(env *StudyEnv) []Series {
 	return sweepSchemes(env, schemeSet(env), true, 5)
 }
 
 // Figure15 compares SAM sampling fractions (100%, 15%, 5%) against Random
 // (= SAM 0%) on average Query Recall.
-func Figure15(env *StudyEnv) []metrics.Series {
+func Figure15(env *StudyEnv) []Series {
 	replicas := env.Replicas()
 	schemes := []hybrid.Scheme{
 		hybrid.SAM(env.Placement, env.Trace.Cfg.Hosts, 1.0, env.Cfg.Seed+31),

@@ -1,7 +1,8 @@
-// Package metrics provides the small statistics toolkit the experiments
-// share: CDFs, quantiles, means, and the Series/Table formatting used to
-// print each figure's data the way the paper plots it.
-package metrics
+package experiments
+
+// The small statistics toolkit the figures share: CDFs, bucket means, and
+// the Series/Table formatting used to print each figure's data the way
+// the paper plots it.
 
 import (
 	"fmt"

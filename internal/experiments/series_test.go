@@ -1,39 +1,10 @@
-package metrics
+package experiments
 
 import (
 	"math"
 	"strings"
 	"testing"
 )
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Errorf("q0 = %v", got)
-	}
-	if got := Quantile(xs, 1); got != 4 {
-		t.Errorf("q1 = %v", got)
-	}
-	if got := Quantile(xs, 0.5); got != 2.5 {
-		t.Errorf("median = %v", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile(nil) should be NaN")
-	}
-	// Input must not be mutated.
-	if xs[0] != 4 {
-		t.Error("Quantile sorted the caller's slice")
-	}
-}
 
 func TestCDF(t *testing.T) {
 	xs := []float64{1, 2, 2, 3, 10}

@@ -5,6 +5,14 @@ import (
 	"time"
 )
 
+// The tier's fixed geometry: how long a cached replica-set resolution is
+// served, the hot-key sketch's decay window, and its counters per row.
+const (
+	routeTTL    = time.Minute
+	sketchDecay = 10 * time.Second
+	sketchWidth = 512
+)
+
 // Options configures a Tier. Zero values pick defaults suitable for a
 // single daemon; the scale harness shrinks budgets and installs its
 // virtual clock and poll-based Wait.
@@ -18,12 +26,6 @@ type Options struct {
 	// served (default 30s). Invalidation-on-publish usually fires first;
 	// the TTL is the backstop for publishes the node never hears about.
 	TTL time.Duration
-	// RouteTTL bounds cached replica-set resolutions (default 60s).
-	RouteTTL time.Duration
-	// Window is the frequency sketch's decay window (default 10s).
-	Window time.Duration
-	// SketchWidth is counters per sketch row (default 512).
-	SketchWidth int
 	// HotThreshold is the sketch estimate at which a key counts as hot
 	// and reads fan out across its replicas (default 8).
 	HotThreshold int
@@ -43,15 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TTL <= 0 {
 		o.TTL = 30 * time.Second
-	}
-	if o.RouteTTL <= 0 {
-		o.RouteTTL = time.Minute
-	}
-	if o.Window <= 0 {
-		o.Window = 10 * time.Second
-	}
-	if o.SketchWidth <= 0 {
-		o.SketchWidth = 512
 	}
 	if o.HotThreshold <= 0 {
 		o.HotThreshold = 8
@@ -84,9 +77,9 @@ func NewTier(opts Options) *Tier {
 		Data: NewCache(opts.MaxBytes, opts.Shards, opts.TTL, opts.Clock),
 		// Routes are small and few; a lone shard with a slice of the
 		// byte budget is plenty.
-		Routes:       NewCache(opts.MaxBytes/8, 1, opts.RouteTTL, opts.Clock),
+		Routes:       NewCache(opts.MaxBytes/8, 1, routeTTL, opts.Clock),
 		Flights:      &Group{Wait: opts.Wait},
-		Sketch:       NewSketch(opts.SketchWidth, opts.Window, opts.Clock),
+		Sketch:       NewSketch(sketchWidth, sketchDecay, opts.Clock),
 		hotThreshold: opts.HotThreshold,
 	}
 	return t

@@ -26,12 +26,12 @@ func testClusterConfig(t testing.TB) dht.Config {
 // invertedSchema mirrors the paper's Inverted(keyword, fileID) relation.
 var invertedSchema = MustSchema("Inverted",
 	[]Column{{Name: "keyword", Kind: KindString}, {Name: "fileID", Kind: KindBytes}},
-	[]string{"keyword", "fileID"}, "keyword")
+	"keyword")
 
 // cacheSchema mirrors InvertedCache(keyword, fileID, fulltext).
 var cacheSchema = MustSchema("InvertedCache",
 	[]Column{{Name: "keyword", Kind: KindString}, {Name: "fileID", Kind: KindBytes}, {Name: "fulltext", Kind: KindString}},
-	[]string{"keyword", "fileID"}, "keyword")
+	"keyword")
 
 // itemSchema mirrors Item(fileID, filename, filesize, ipAddress, port).
 var itemSchema = MustSchema("Item",
@@ -42,7 +42,7 @@ var itemSchema = MustSchema("Item",
 		{Name: "ipAddress", Kind: KindString},
 		{Name: "port", Kind: KindInt},
 	},
-	[]string{"fileID"}, "fileID")
+	"fileID")
 
 type testEnv struct {
 	cluster *dht.Cluster

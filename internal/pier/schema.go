@@ -8,19 +8,18 @@ type Column struct {
 	Kind Kind
 }
 
-// Schema describes a relation: its name, columns, primary key, and the
-// column whose value keys the tuple in the DHT (the "publishing key" of the
-// paper — fileID for Item, keyword for Inverted).
+// Schema describes a relation: its name, columns, and the column whose
+// value keys the tuple in the DHT (the "publishing key" of the paper —
+// fileID for Item, keyword for Inverted).
 type Schema struct {
 	Name     string
 	Cols     []Column
-	Key      []string // primary-key column names (documentation + dedup)
-	IndexCol string   // DHT publishing key column
+	IndexCol string // DHT publishing key column
 }
 
 // NewSchema validates and returns a schema.
-func NewSchema(name string, cols []Column, key []string, indexCol string) (*Schema, error) {
-	s := &Schema{Name: name, Cols: cols, Key: key, IndexCol: indexCol}
+func NewSchema(name string, cols []Column, indexCol string) (*Schema, error) {
+	s := &Schema{Name: name, Cols: cols, IndexCol: indexCol}
 	if name == "" {
 		return nil, fmt.Errorf("pier: schema needs a name")
 	}
@@ -37,11 +36,6 @@ func NewSchema(name string, cols []Column, key []string, indexCol string) (*Sche
 		}
 		seen[c.Name] = true
 	}
-	for _, k := range key {
-		if !seen[k] {
-			return nil, fmt.Errorf("pier: schema %s key column %s undefined", name, k)
-		}
-	}
 	if indexCol != "" && !seen[indexCol] {
 		return nil, fmt.Errorf("pier: schema %s index column %s undefined", name, indexCol)
 	}
@@ -49,8 +43,8 @@ func NewSchema(name string, cols []Column, key []string, indexCol string) (*Sche
 }
 
 // MustSchema is NewSchema that panics on error, for static declarations.
-func MustSchema(name string, cols []Column, key []string, indexCol string) *Schema {
-	s, err := NewSchema(name, cols, key, indexCol)
+func MustSchema(name string, cols []Column, indexCol string) *Schema {
+	s, err := NewSchema(name, cols, indexCol)
 	if err != nil {
 		panic(err)
 	}

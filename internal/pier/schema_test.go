@@ -4,25 +4,22 @@ import "testing"
 
 func TestNewSchemaValidation(t *testing.T) {
 	cols := []Column{{Name: "a", Kind: KindString}, {Name: "b", Kind: KindInt}}
-	if _, err := NewSchema("", cols, nil, ""); err == nil {
+	if _, err := NewSchema("", cols, ""); err == nil {
 		t.Error("empty name accepted")
 	}
-	if _, err := NewSchema("t", nil, nil, ""); err == nil {
+	if _, err := NewSchema("t", nil, ""); err == nil {
 		t.Error("no columns accepted")
 	}
-	if _, err := NewSchema("t", []Column{{Name: "", Kind: KindInt}}, nil, ""); err == nil {
+	if _, err := NewSchema("t", []Column{{Name: "", Kind: KindInt}}, ""); err == nil {
 		t.Error("unnamed column accepted")
 	}
-	if _, err := NewSchema("t", []Column{{Name: "a"}, {Name: "a"}}, nil, ""); err == nil {
+	if _, err := NewSchema("t", []Column{{Name: "a"}, {Name: "a"}}, ""); err == nil {
 		t.Error("duplicate column accepted")
 	}
-	if _, err := NewSchema("t", cols, []string{"zz"}, ""); err == nil {
-		t.Error("unknown key column accepted")
-	}
-	if _, err := NewSchema("t", cols, nil, "zz"); err == nil {
+	if _, err := NewSchema("t", cols, "zz"); err == nil {
 		t.Error("unknown index column accepted")
 	}
-	s, err := NewSchema("t", cols, []string{"a"}, "a")
+	s, err := NewSchema("t", cols, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +34,11 @@ func TestMustSchemaPanics(t *testing.T) {
 			t.Error("MustSchema did not panic on invalid schema")
 		}
 	}()
-	MustSchema("", nil, nil, "")
+	MustSchema("", nil, "")
 }
 
 func TestSchemaValidateTuple(t *testing.T) {
-	s := MustSchema("t", []Column{{Name: "a", Kind: KindString}, {Name: "n", Kind: KindInt}}, nil, "a")
+	s := MustSchema("t", []Column{{Name: "a", Kind: KindString}, {Name: "n", Kind: KindInt}}, "a")
 	if err := s.Validate(Tuple{String("x"), Int(1)}); err != nil {
 		t.Errorf("valid tuple rejected: %v", err)
 	}
@@ -54,7 +51,7 @@ func TestSchemaValidateTuple(t *testing.T) {
 }
 
 func TestSchemaIndexKey(t *testing.T) {
-	s := MustSchema("t", []Column{{Name: "a", Kind: KindString}, {Name: "n", Kind: KindInt}}, nil, "n")
+	s := MustSchema("t", []Column{{Name: "a", Kind: KindString}, {Name: "n", Kind: KindInt}}, "n")
 	k, err := s.IndexKey(Tuple{String("x"), Int(7)})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +59,7 @@ func TestSchemaIndexKey(t *testing.T) {
 	if k != Int(7).Key() {
 		t.Errorf("IndexKey = %q", k)
 	}
-	noIdx := MustSchema("t2", []Column{{Name: "a", Kind: KindString}}, nil, "")
+	noIdx := MustSchema("t2", []Column{{Name: "a", Kind: KindString}}, "")
 	if _, err := noIdx.IndexKey(Tuple{String("x")}); err == nil {
 		t.Error("IndexKey without index column succeeded")
 	}

@@ -25,7 +25,7 @@ var ItemSchema = pier.MustSchema(TableItem,
 		{Name: "ipAddress", Kind: pier.KindString},
 		{Name: "port", Kind: pier.KindInt},
 	},
-	[]string{"fileID"}, "fileID")
+	"fileID")
 
 // InvertedSchema is the paper's Inverted(keyword, fileID) relation,
 // published under keyword so a keyword's posting list collects on one node.
@@ -34,7 +34,7 @@ var InvertedSchema = pier.MustSchema(TableInverted,
 		{Name: "keyword", Kind: pier.KindString},
 		{Name: "fileID", Kind: pier.KindBytes},
 	},
-	[]string{"keyword", "fileID"}, "keyword")
+	"keyword")
 
 // InvertedCacheSchema is the InvertedCache(keyword, fileID, fulltext)
 // variant of §3.2 that caches the filename on every posting entry.
@@ -44,7 +44,7 @@ var InvertedCacheSchema = pier.MustSchema(TableInvertedCache,
 		{Name: "fileID", Kind: pier.KindBytes},
 		{Name: "fulltext", Kind: pier.KindString},
 	},
-	[]string{"keyword", "fileID"}, "keyword")
+	"keyword")
 
 // RegisterSchemas installs the PIERSearch catalog on a PIER engine. Every
 // participating node must call this before publishing or querying.

@@ -22,10 +22,10 @@ import (
 
 	"piersearch/internal/dht"
 	"piersearch/internal/hotcache"
-	"piersearch/internal/metrics"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
 	"piersearch/internal/simnet"
+	"piersearch/internal/telemetry"
 	"piersearch/internal/trace"
 )
 
@@ -61,9 +61,6 @@ func scaleTierOptions(clock *simnet.Clock) hotcache.Options {
 		MaxBytes:     1 << 20,
 		Shards:       4,
 		TTL:          30 * time.Second,
-		RouteTTL:     time.Minute,
-		Window:       10 * time.Second,
-		SketchWidth:  512,
 		HotThreshold: 4,
 		Clock:        clock.Now,
 		Wait: func(ctx context.Context, done <-chan struct{}) error {
@@ -237,7 +234,7 @@ func (h *hotRunner) runPhase(tiers []*hotcache.Tier) (HotPhaseStats, error) {
 
 	preM, preB := h.cl.Net.PerNode()
 	gm0, gb0 := h.cl.Net.Messages(), h.cl.Net.Bytes()
-	lat := metrics.NewHistogram(1e-3, 1e3, 40)
+	lat := telemetry.NewHistogram(1e-3, 1e3, 40)
 	var mu sync.Mutex
 	failed, matches := 0, 0
 	fails := map[string]int{}

@@ -9,7 +9,6 @@ import (
 	"piersearch/internal/dht"
 	"piersearch/internal/gnutella"
 	"piersearch/internal/hotcache"
-	"piersearch/internal/metrics"
 	"piersearch/internal/pier"
 	"piersearch/internal/piersearch"
 	"piersearch/internal/simnet"
@@ -257,7 +256,7 @@ func Run(cfg Config) (*Report, error) {
 	for i := 0; i < cfg.StableCore; i++ {
 		publishers[i] = piersearch.NewPublisher(engines[i], cfg.Mode, tok)
 	}
-	pubLat := metrics.NewHistogram(1e-3, 1e3, 40)
+	pubLat := telemetry.NewHistogram(1e-3, 1e3, 40)
 	pubFailed := 0
 	pubFails := map[string]int{}
 	msgs0, bytes0 := cl.Net.Messages(), cl.Net.Bytes()
@@ -353,9 +352,9 @@ func Run(cfg Config) (*Report, error) {
 	for i := 0; i < cfg.StableCore; i++ {
 		searches[i] = piersearch.NewSearch(engines[i], tok)
 	}
-	qLat := metrics.NewHistogram(1e-3, 1e3, 40)
-	qMatchBytes := metrics.NewHistogram(1, 1e8, 10)
-	qHopsH := metrics.NewHistogram(1, 1e4, 40)
+	qLat := telemetry.NewHistogram(1e-3, 1e3, 40)
+	qMatchBytes := telemetry.NewHistogram(1, 1e8, 10)
+	qHopsH := telemetry.NewHistogram(1, 1e4, 40)
 	qFailed, qMatches, qShipped, qHops := 0, 0, 0, 0
 	qFails := map[string]int{}
 	var traces []TraceSummary

@@ -6,7 +6,7 @@ import (
 	"os"
 	"sort"
 
-	"piersearch/internal/metrics"
+	"piersearch/internal/telemetry"
 	"piersearch/internal/trace"
 )
 
@@ -305,19 +305,19 @@ func round3(v float64) float64 {
 }
 
 // quantilesMs converts a seconds-histogram into a millisecond summary.
-func quantilesMs(h *metrics.Histogram) Quantiles { return summarize(h, 1000) }
+func quantilesMs(h *telemetry.Histogram) Quantiles { return summarize(h, 1000) }
 
 // quantilesRaw summarises a histogram in its native unit.
-func quantilesRaw(h *metrics.Histogram) Quantiles { return summarize(h, 1) }
+func quantilesRaw(h *telemetry.Histogram) Quantiles { return summarize(h, 1) }
 
-func summarize(h *metrics.Histogram, scale float64) Quantiles {
+func summarize(h *telemetry.Histogram, scale float64) Quantiles {
 	if h.Count() == 0 {
 		return Quantiles{}
 	}
 	return Quantiles{
-		P50:  round3(h.HistQuantile(0.50) * scale),
-		P95:  round3(h.HistQuantile(0.95) * scale),
-		P99:  round3(h.HistQuantile(0.99) * scale),
+		P50:  round3(h.Quantile(0.50) * scale),
+		P95:  round3(h.Quantile(0.95) * scale),
+		P99:  round3(h.Quantile(0.99) * scale),
 		Mean: round3(h.Mean() * scale),
 		Max:  round3(h.Max() * scale),
 	}

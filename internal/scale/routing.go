@@ -6,8 +6,8 @@ import (
 	"sync"
 
 	"piersearch/internal/dht"
-	"piersearch/internal/metrics"
 	"piersearch/internal/simnet"
+	"piersearch/internal/telemetry"
 )
 
 // runRoutingPhase measures the Kademlia layer directly: RoutingLookups
@@ -23,8 +23,8 @@ func runRoutingPhase(cfg Config, clock *simnet.Clock, cl *Cluster) (*RoutingRepo
 		targets[i] = dht.SeededID(rng)
 	}
 
-	hops := metrics.NewHistogram(1, 1e3, 40)
-	lat := metrics.NewHistogram(1e-3, 1e3, 40)
+	hops := telemetry.NewHistogram(1, 1e3, 40)
+	lat := telemetry.NewHistogram(1e-3, 1e3, 40)
 	failed := 0
 	var mu sync.Mutex
 	msgs0, bytes0 := cl.Net.Messages(), cl.Net.Bytes()
@@ -54,7 +54,7 @@ func runRoutingPhase(cfg Config, clock *simnet.Clock, cl *Cluster) (*RoutingRepo
 	}
 	msgs1, bytes1 := cl.Net.Messages(), cl.Net.Bytes()
 
-	contacts := metrics.NewHistogram(1, 1e6, 40)
+	contacts := telemetry.NewHistogram(1, 1e6, 40)
 	total, maxContacts := 0, 0
 	for _, n := range cl.Nodes {
 		l := n.TableLen()

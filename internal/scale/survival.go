@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"piersearch/internal/dht"
-	"piersearch/internal/metrics"
 	"piersearch/internal/simnet"
+	"piersearch/internal/telemetry"
 )
 
 // survivalPoll is how often the survival root task re-checks for query
@@ -55,8 +55,8 @@ func runSurvival(cfg Config, clock *simnet.Clock, cl *Cluster, keys []dht.ID) (*
 	removeSpan := 2 * half
 	settle := 2 * half
 
-	lat := metrics.NewHistogram(1e-3, 1e3, 40)
-	hops := metrics.NewHistogram(1, 1e3, 40)
+	lat := telemetry.NewHistogram(1e-3, 1e3, 40)
+	hops := telemetry.NewHistogram(1, 1e3, 40)
 	succeeded, done := 0, 0
 	var mu sync.Mutex
 	msgs0, bytes0 := cl.Net.Messages(), cl.Net.Bytes()

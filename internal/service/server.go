@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -39,7 +40,7 @@ type Options struct {
 	PerClientBurst int
 	// Logger receives structured operational events (refusals, failed
 	// queries). Nil leaves the daemon silent.
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 	// Tracer, when set, records the daemon's side of distributed query
 	// traces: one span per traced stream, parented under the client's
 	// span, with the executor's plan/probe/RPC spans beneath it. The
@@ -144,7 +145,7 @@ type Server struct {
 	opts   Options
 	ln     net.Listener
 	sem    chan struct{}
-	log    *telemetry.Logger
+	log    *slog.Logger
 	met    serverMetrics
 	muxMet *wire.MuxMetrics
 
@@ -190,6 +191,9 @@ func NewServer(ln net.Listener, search *piersearch.Search, pub *piersearch.Publi
 		sem:    make(chan struct{}, opts.maxQueries()),
 		log:    opts.Logger,
 		muxes:  make(map[*wire.Mux]bool),
+	}
+	if s.log == nil {
+		s.log = slog.New(slog.DiscardHandler)
 	}
 	if reg := opts.Metrics; reg != nil {
 		s.met = serverMetrics{
@@ -475,7 +479,7 @@ func (s *Server) handleQuery(st *wire.Stream, m *OpenQuery) {
 				return
 			}
 			if first {
-				s.met.ttfr.Observe(int64(time.Since(admitted)))
+				s.met.ttfr.Observe(float64(time.Since(admitted)))
 			}
 			first = false
 		}

@@ -47,7 +47,7 @@ func (d *Disk) compactLoop() {
 			return
 		case <-d.compactKick:
 			if err := d.Compact(d.opts.Now()); err != nil && err != errClosed {
-				d.logf("store: background compaction: %v", err)
+				d.opts.Logger.Error("store: background compaction failed", "err", err)
 			}
 		}
 	}
@@ -251,7 +251,7 @@ func (d *Disk) dropInputs(inputs map[uint64]*logFile, outBytes int64, outValues 
 	for _, in := range inputs {
 		in.f.Close() //nolint:errcheck // read-only by now
 		if err := os.Remove(in.path); err != nil {
-			d.logf("store: compact remove %s: %v", in.path, err)
+			d.opts.Logger.Error("store: compact remove failed", "path", in.path, "err", err)
 		}
 	}
 	d.met.compactions.Inc()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,7 +55,7 @@ type Options struct {
 	Now func() time.Duration
 	// Logger receives the store's operational log events (recovery
 	// summary, compaction results, commit errors). Nil silences them.
-	Logger *telemetry.Logger
+	Logger *slog.Logger
 	// Tracer, when set, records a span per group commit and per
 	// compaction run into its ring, each as its own root trace.
 	Tracer *telemetry.Tracer
@@ -76,6 +77,9 @@ func (o Options) normalize() Options {
 	if o.Now == nil {
 		start := time.Now()
 		o.Now = func() time.Duration { return time.Since(start) }
+	}
+	if o.Logger == nil {
+		o.Logger = slog.New(slog.DiscardHandler)
 	}
 	return o
 }
@@ -220,10 +224,6 @@ func Open(dir string, opts Options) (*Disk, error) {
 	go d.committer()
 	go d.compactLoop()
 	return d, nil
-}
-
-func (d *Disk) logf(format string, args ...any) {
-	d.opts.Logger.Logf(format, args...)
 }
 
 func (d *Disk) shard(key dht.ID) *indexShard {
@@ -479,7 +479,7 @@ func (d *Disk) commit(rec []byte) (commitRes, bool) {
 	}
 	res := <-req.done
 	if res.err != nil {
-		d.logf("store: commit: %v", res.err)
+		d.opts.Logger.Error("store: commit failed", "err", res.err)
 		return commitRes{}, false
 	}
 	return res, true
@@ -557,7 +557,7 @@ func (d *Disk) Get(key dht.ID, now time.Duration) []dht.StoredValue {
 					retry = true
 					break
 				}
-				d.logf("store: read %s @%d: %v", f.path, e.off, err)
+				d.opts.Logger.Error("store: read failed", "path", f.path, "off", e.off, "err", err)
 				prune = append(prune, e)
 				continue
 			}
@@ -791,7 +791,7 @@ func (d *Disk) commitBatch(batch []*commitReq, buf []byte) []byte {
 		// fails, poison the log so nothing later is acknowledged.
 		if terr := d.rollbackTo(active, base); terr != nil {
 			d.failed.Store(true)
-			d.logf("store: log poisoned, no further commits: %v", terr)
+			d.opts.Logger.Error("store: log poisoned, no further commits", "err", terr)
 		}
 	}
 	if err == nil {
@@ -830,11 +830,11 @@ func (d *Disk) rotate() {
 	d.met.rotates.Inc()
 	d.met.fsyncs.Inc()
 	if err := old.f.Sync(); err != nil {
-		d.logf("store: sync before seal: %v", err)
+		d.opts.Logger.Error("store: sync before seal failed", "err", err)
 	}
 	np := segPath(d.dir, old.seq)
 	if err := os.Rename(old.path, np); err != nil {
-		d.logf("store: seal wal: %v", err)
+		d.opts.Logger.Error("store: seal wal failed", "err", err)
 		return
 	}
 	old.path = np
@@ -842,7 +842,7 @@ func (d *Disk) rotate() {
 	if err != nil {
 		// Degraded: keep appending to the sealed file; replay treats the
 		// two names identically.
-		d.logf("store: rotate: %v", err)
+		d.opts.Logger.Error("store: rotate failed", "err", err)
 		return
 	}
 	d.nextSeq++

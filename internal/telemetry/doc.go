@@ -1,8 +1,10 @@
 // Package telemetry is the observability plane: distributed query
-// tracing, a lock-cheap metrics registry, and a structured leveled
-// logger shared by dht, wire, service, store, hotcache and both
-// daemons. It has no dependencies beyond internal/codec and the
-// standard library so every layer of the stack can import it.
+// tracing and a lock-cheap metrics registry shared by dht, wire,
+// service, store, hotcache and both daemons, plus the one Histogram
+// type that the registry and the scale harness both record into.
+// Logging is the standard library's log/slog. It has no dependencies
+// beyond internal/codec and the standard library so every layer of the
+// stack can import it.
 //
 // # Tracing model
 //

@@ -1,10 +1,34 @@
-package metrics
+package telemetry
 
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
+
+// exactQuantile returns the q-quantile (0 <= q <= 1) of xs by linear
+// interpolation: the oracle the bucket estimates are checked against.
+func exactQuantile(xs []float64, q float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(sorted) {
+		return sorted[lo]
+	}
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
 
 // histTolerance is the relative quantile error the geometry guarantees:
 // one bucket's growth factor, plus slack for the midpoint estimate.
@@ -14,8 +38,8 @@ func histTolerance(perDecade int) float64 {
 
 func checkQuantile(t *testing.T, h *Histogram, samples []float64, q float64, perDecade int) {
 	t.Helper()
-	exact := Quantile(samples, q)
-	got := h.HistQuantile(q)
+	exact := exactQuantile(samples, q)
+	got := h.Quantile(q)
 	tol := histTolerance(perDecade)
 	if exact == 0 {
 		if got > tol {
@@ -99,7 +123,7 @@ func TestHistogramMergeMatchesCombinedObservation(t *testing.T) {
 		t.Fatalf("merged min/max %v/%v, want %v/%v", a.Min(), a.Max(), all.Min(), all.Max())
 	}
 	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := a.HistQuantile(q), all.HistQuantile(q); got != want {
+		if got, want := a.Quantile(q), all.Quantile(q); got != want {
 			t.Errorf("q=%v: merged %v, combined %v", q, got, want)
 		}
 	}
@@ -122,7 +146,7 @@ func TestHistogramMergeGeometryMismatch(t *testing.T) {
 
 func TestHistogramEmptyAndClamping(t *testing.T) {
 	h := NewHistogram(1e-3, 10, 40)
-	if !math.IsNaN(h.HistQuantile(0.5)) {
+	if !math.IsNaN(h.Quantile(0.5)) {
 		t.Error("empty histogram quantile should be NaN")
 	}
 	if !math.IsNaN(h.Min()) || !math.IsNaN(h.Max()) {
@@ -135,10 +159,10 @@ func TestHistogramEmptyAndClamping(t *testing.T) {
 	if h.Min() != 1e-6 || h.Max() != 100 {
 		t.Errorf("min/max = %v/%v, want 1e-6/100", h.Min(), h.Max())
 	}
-	if q := h.HistQuantile(0); q != 1e-3 {
+	if q := h.Quantile(0); q != 1e-3 {
 		t.Errorf("q0 = %v, want clamp to first bucket edge 1e-3", q)
 	}
-	if q := h.HistQuantile(1); q < 10 || q > 100 {
+	if q := h.Quantile(1); q < 10 || q > 100 {
 		t.Errorf("q1 = %v, want within [hi, observed max]", q)
 	}
 }
@@ -154,8 +178,110 @@ func TestHistogramDeterminism(t *testing.T) {
 	}
 	a, b := build(), build()
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
-		if a.HistQuantile(q) != b.HistQuantile(q) {
+		if a.Quantile(q) != b.Quantile(q) {
 			t.Fatalf("q=%v differs between identical builds", q)
 		}
+	}
+}
+
+// TestRegistryHistogramQuantiles: a registry histogram is the geometric
+// one on a nanosecond scale, so WriteText's p50/p95/p99 land within one
+// bucket (~6 %) of the exact quantiles.
+func TestRegistryHistogramQuantiles(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("lat_ns")
+	samples := make([]float64, 1000)
+	for i := range samples {
+		samples[i] = float64(1000 * (i + 1)) // 1 µs .. 1 ms
+		h.Observe(samples[i])
+	}
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, l := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		name, val, _ := strings.Cut(l, " ")
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("line %q: %v", l, err)
+		}
+		got[name] = v
+	}
+	if got["lat_ns_count"] != 1000 || got["lat_ns_sum"] != 500500000 {
+		t.Fatalf("count/sum = %v/%v", got["lat_ns_count"], got["lat_ns_sum"])
+	}
+	tol := histTolerance(40)
+	for _, c := range []struct {
+		name string
+		q    float64
+	}{{"lat_ns_p50", 0.50}, {"lat_ns_p95", 0.95}, {"lat_ns_p99", 0.99}} {
+		exact := exactQuantile(samples, c.q)
+		if rel := math.Abs(got[c.name]-exact) / exact; rel > tol {
+			t.Errorf("%s = %v, exact %v (rel err %.4f > %.4f)", c.name, got[c.name], exact, rel, tol)
+		}
+	}
+
+	// An empty registry histogram prints zeros, never NaN.
+	empty := NewRegistry()
+	empty.Histogram("idle_ns")
+	b.Reset()
+	if err := empty.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "idle_ns_count 0\nidle_ns_p50 0\nidle_ns_p95 0\nidle_ns_p99 0\nidle_ns_sum 0\n"
+	if b.String() != want {
+		t.Fatalf("empty histogram:\n%s\nwant:\n%s", b.String(), want)
+	}
+}
+
+// TestHistogramConcurrentObserveAndScrape: many goroutines observe while
+// another scrapes /metrics-style; run under -race. Every observation must
+// be counted once.
+func TestHistogramConcurrentObserveAndScrape(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("conc_ns")
+	const workers, each = 8, 2000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				scraped <- n
+				return
+			default:
+			}
+			var b strings.Builder
+			if err := reg.WriteText(&b); err != nil {
+				t.Error(err)
+			}
+			if strings.Contains(b.String(), "NaN") {
+				t.Errorf("scrape printed NaN:\n%s", b.String())
+			}
+			n++
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Observe(float64(1 + w*each + i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if n := <-scraped; n == 0 {
+		t.Fatal("scraper never ran")
+	}
+	if c := h.Count(); c != workers*each {
+		t.Fatalf("count = %d, want %d", c, workers*each)
+	}
+	if m := h.Max(); m != workers*each {
+		t.Fatalf("max = %v, want %d", m, workers*each)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,73 +35,163 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Histogram is a lock-free power-of-two-bucket histogram of int64
-// observations (conventionally nanoseconds). Unlike metrics.Histogram
-// (geometric buckets, single-goroutine by contract, used by the
-// virtual-time harness) this one is safe for concurrent wall-clock
-// callers: Observe is two atomic adds and one atomic increment.
+// Histogram is a fixed-geometry log-scale histogram: bucket edges grow
+// geometrically from lo to hi, so relative quantile error is bounded by
+// the per-bucket growth factor regardless of where the mass lands. The
+// scale harness records one histogram per replay phase and serializes
+// only the derived quantiles, so the geometry (not the samples) is what
+// two runs must agree on for byte-identical reports.
+//
+// Construct with NewHistogram or Registry.Histogram. A Histogram is safe
+// for concurrent use. Observe and Count on a nil *Histogram are no-ops,
+// so holders of an unregistered instrument skip the registry-nil branch.
 type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [65]atomic.Int64 // bucket i counts values with bit length i
+	mu      sync.Mutex
+	lo, hi  float64
+	ratio   float64 // per-bucket growth factor, > 1
+	counts  []uint64
+	under   uint64 // samples below lo (counted into quantiles at lo)
+	count   uint64
+	sum     float64
+	min, mx float64
 }
 
-// Observe records one value; negative values clamp to zero.
-func (h *Histogram) Observe(v int64) {
+// NewHistogram creates a histogram covering [lo, hi] with bucketsPerDecade
+// geometric buckets per factor-of-ten. lo and hi must be positive with
+// lo < hi; bucketsPerDecade must be positive. 40 buckets per decade keeps
+// quantile error under ~6%.
+func NewHistogram(lo, hi float64, bucketsPerDecade int) *Histogram {
+	if lo <= 0 || hi <= lo || bucketsPerDecade <= 0 {
+		panic(fmt.Sprintf("telemetry: bad histogram geometry lo=%v hi=%v perDecade=%d", lo, hi, bucketsPerDecade))
+	}
+	ratio := math.Pow(10, 1/float64(bucketsPerDecade))
+	n := int(math.Ceil(math.Log(hi/lo)/math.Log(ratio))) + 1
+	return &Histogram{
+		lo:     lo,
+		hi:     hi,
+		ratio:  ratio,
+		counts: make([]uint64, n),
+		min:    math.Inf(1),
+		mx:     math.Inf(-1),
+	}
+}
+
+// bucketOf returns the bucket index for v (v >= lo).
+func (h *Histogram) bucketOf(v float64) int {
+	i := int(math.Log(v/h.lo) / math.Log(h.ratio))
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(h.counts) {
+		i = len(h.counts) - 1
+	}
+	return i
+}
+
+// Observe records one sample. Values below lo are clamped into the first
+// bucket; values above hi into the last (Max still records the true
+// extreme).
+func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.count++
+	h.sum += v
+	if v < h.min {
+		h.min = v
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(uint64(v))].Add(1)
+	if v > h.mx {
+		h.mx = v
+	}
+	if v < h.lo {
+		h.under++
+		return
+	}
+	h.counts[h.bucketOf(v)]++
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
+// Count returns the number of samples observed.
+func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
 }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
+// Sum returns the sum of all observed samples.
+func (h *Histogram) Sum() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.sum
+}
+
+// Mean returns the arithmetic mean (0 for an empty histogram).
+func (h *Histogram) Mean() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
 		return 0
 	}
-	return h.sum.Load()
+	return h.sum / float64(h.count)
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// midpoints; resolution is a power of two, which is plenty for the
-// p50/p95/p99 lines on /metrics.
+// Max returns the largest observed sample (NaN when empty).
+func (h *Histogram) Max() float64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
+		return math.NaN()
+	}
+	return h.mx
+}
+
+// Quantile returns the q-quantile (0 <= q <= 1) estimated from the
+// bucket counts: the geometric midpoint of the bucket holding the q-th
+// sample, clamped into [min, max] so tiny histograms do not report
+// values outside the observed range. NaN when empty.
 func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.count == 0 {
+		return math.NaN()
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
+	if q < 0 {
+		q = 0
 	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
+	if q > 1 {
+		q = 1
+	}
+	// Rank of the target sample, 1-based.
+	rank := uint64(math.Ceil(q * float64(h.count)))
+	if rank == 0 {
 		rank = 1
 	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
+	seen := h.under
+	if seen >= rank {
+		return h.clamp(h.lo)
+	}
+	for i, c := range h.counts {
+		seen += c
 		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			lo := float64(int64(1) << (i - 1))
-			return lo * 1.5 // midpoint of [2^(i-1), 2^i)
+			low := h.lo * math.Pow(h.ratio, float64(i))
+			return h.clamp(low * math.Sqrt(h.ratio)) // geometric bucket midpoint
 		}
 	}
-	return float64(h.sum.Load())
+	return h.clamp(h.mx)
+}
+
+func (h *Histogram) clamp(v float64) float64 {
+	if v < h.min {
+		return h.min
+	}
+	if v > h.mx {
+		return h.mx
+	}
+	return v
 }
 
 // Registry is a flat, name-keyed set of counters, gauges and
@@ -161,7 +250,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
-		h = &Histogram{}
+		h = NewHistogram(1, 1e12, 40) // 1 ns to ~17 min at ~6 % resolution
 		r.hists[name] = h
 	}
 	return h
@@ -187,11 +276,16 @@ func (r *Registry) WriteText(w io.Writer) error {
 		gauges[name] = fn
 	}
 	for name, h := range r.hists {
-		lines = append(lines, line{name + "_count", fmt.Sprintf("%d", h.Count())})
-		lines = append(lines, line{name + "_sum", fmt.Sprintf("%d", h.Sum())})
-		lines = append(lines, line{name + "_p50", fmt.Sprintf("%.0f", h.Quantile(0.50))})
-		lines = append(lines, line{name + "_p95", fmt.Sprintf("%.0f", h.Quantile(0.95))})
-		lines = append(lines, line{name + "_p99", fmt.Sprintf("%.0f", h.Quantile(0.99))})
+		n := h.Count()
+		lines = append(lines, line{name + "_count", fmt.Sprintf("%d", n)})
+		lines = append(lines, line{name + "_sum", fmt.Sprintf("%.0f", h.Sum())})
+		q := func(p float64) string {
+			if n == 0 {
+				return "0" // an empty histogram prints 0, not NaN
+			}
+			return fmt.Sprintf("%.0f", h.Quantile(p))
+		}
+		lines = append(lines, line{name + "_p50", q(0.50)}, line{name + "_p95", q(0.95)}, line{name + "_p99", q(0.99)})
 	}
 	r.mu.Unlock()
 	// Gauges sample outside the lock: their closures may take other
